@@ -87,7 +87,19 @@ def test_timed_outputs_must_match_the_checked_ones():
     refs = workloads.check_pool(pool, workloads.hashlib.sha256(), workloads.Counts())
     refs[0].key = refs[0].key[:-1] + (refs[0].key[-1] + 1,)
     loop = workloads.closed_loop(pool, refs, 0.0, None, workloads.Speed("python"))
-    assert loop.attempted == 1 and loop.failed == 1 and loop.wrong == 1
+    assert loop.failed == {0} and loop.wrong == {0}
+
+
+def test_a_failing_request_counts_once_whatever_the_rounds():
+    # lower_extremal_case2 raises for this window width (a known defect)
+    pool = [(workloads.EXTREMAL, ("case2", 143, 1, None)),
+            (workloads.ANALYZE, [0.1, 0.5, 0.4, 0.25, 0.2])]
+    refs = workloads.check_pool(pool, workloads.hashlib.sha256(), workloads.Counts())
+    assert refs[0].raised == "RuntimeError" and refs[1].raised is None
+    loop = workloads.closed_loop(pool, refs, 0.3, None, workloads.Speed("python"))
+    assert loop.rounds > 1
+    assert loop.failed == {0} and not loop.wrong
+    assert loop.errors == {0: "RuntimeError"}
 
 
 def test_exact_threshold_agrees_with_fractions():

@@ -269,10 +269,14 @@ class Counts:
 
 @dataclass
 class Loop:
-    attempted: int = 0
-    failed: int = 0
-    wrong: int = 0
-    errors: Counter = field(default_factory=Counter)
+    """What a closed loop saw.  Failures are kept per pool index: a request
+    fails or not whatever the number of rounds, so the counts depend on
+    the seed only, not on how many rounds fit in the run time."""
+
+    executions: int = 0
+    failed: set = field(default_factory=set)
+    wrong: set = field(default_factory=set)
+    errors: dict = field(default_factory=dict)  # pool index -> exception type
     untraced: defaultdict = field(default_factory=lambda: defaultdict(list))
     traced: defaultdict = field(default_factory=lambda: defaultdict(list))
     unscaled: defaultdict = field(default_factory=lambda: defaultdict(list))
@@ -396,7 +400,7 @@ def closed_loop(pool, refs, seconds: float, tracer: Tracer | None, speed: Speed)
         call = tracer if traced_round else untraced
         latencies = loop.traced if traced_round else loop.untraced
         for i, ((kind, req), ref) in enumerate(zip(pool, refs)):
-            loop.attempted += 1
+            loop.executions += 1
             # a request that raises is timed until it raises, so a failure
             # does not change the mix of timed work
             key, elapsed, scaled = speed.time(kind.execute, req, call)
@@ -404,13 +408,13 @@ def closed_loop(pool, refs, seconds: float, tracer: Tracer | None, speed: Speed)
             if not traced_round:
                 loop.unscaled[i].append(elapsed)
             if isinstance(key, Exception):
-                loop.errors[type(key).__name__] += 1
-                loop.failed += 1
+                loop.errors[i] = type(key).__name__
+                loop.failed.add(i)
             elif ref.mc_miss:
-                loop.failed += 1
+                loop.failed.add(i)
             elif key != ref.key or ref.wrong:
-                loop.failed += 1
-                loop.wrong += 1
+                loop.failed.add(i)
+                loop.wrong.add(i)
         loop.rounds += 1
         loop.traced_rounds += traced_round
         if clock() - start >= seconds and (tracer is None or traced_round):
@@ -771,9 +775,10 @@ def _run(workload, seed, seconds, trace, tiny, launcher, workdir) -> Result:
         "unscaled_req_p50_ms": statistics.median(request_medians(loop.unscaled)) * 1e3,
         "pool_requests": len(pool),
         "rounds": loop.rounds,
+        "timed_executions": loop.executions,
         "latency_samples": sum(map(len, loop.untraced.values())),
-        "errors_by_type": dict(loop.errors),
-        "wrong": loop.wrong,
+        "errors_by_type": dict(Counter(loop.errors.values())),
+        "wrong": len(loop.wrong),
         "boundary_flags": counts.boundary_flags,
         "exact_mismatch": counts.exact_mismatch,
         "oracle_mismatch": counts.oracle_mismatch,
@@ -788,7 +793,9 @@ def _run(workload, seed, seconds, trace, tiny, launcher, workdir) -> Result:
             "req_p50_ms": statistics.median(typical) * 1e3,
             "peak_mib": peak_mib,
         }
-    return Result(loop.wrong == 0, loop.attempted, loop.failed, metrics, info)
+    # attempted / failed count distinct requests: each one is checked, then
+    # timed in every round, and a failing request fails in every round
+    return Result(not loop.wrong, len(pool), len(loop.failed), metrics, info)
 
 
 def per_layer(pool, refs, loop, tracer, counts, import_s, launcher, speed) -> dict:
@@ -813,7 +820,7 @@ def per_layer(pool, refs, loop, tracer, counts, import_s, launcher, speed) -> di
     m["core.threshold.boundary_flags"] = counts.boundary_flags
     m["core.threshold.exact_mismatch"] = counts.exact_mismatch
     m["oracle.mismatch"] = counts.oracle_mismatch
-    m["errors"] = sum(loop.errors.values())
+    m["errors"] = len(loop.errors)
     if pool[0][0] is CLI:
         m["cli.import_s"] = import_s
         m["cli.interpreter_s"] = child_medians([sys.executable, "-c", "pass"], launcher, speed)[0]
