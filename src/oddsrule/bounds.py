@@ -143,14 +143,19 @@ class BoundReport:
     """All applicable bounds for one sequence, with satisfaction and
     equality flags (tolerance EQUALITY_TOL).
 
+    ``v_n``/``product_form`` and ``s``/``R_s``/``boundary_flag`` are the
+    win probability and threshold the bounds were checked against.
+
     ``satisfied`` covers only the applicable bounds and is guaranteed
     all-True: a violation raises InternalBoundViolation instead of being
     reported, since by the theory it can only mean a bug.
     """
 
     v_n: float
+    product_form: float | None
     s: int
     R_s: float
+    boundary_flag: bool
     upper: float
     lower: float
     lower_case: int
@@ -167,7 +172,8 @@ class BoundReport:
 def bound_report(seq: OddsSequence) -> BoundReport:
     """Evaluate every bound against the exact V_n and assert all hold."""
     t = threshold(seq)
-    v = win_probability(seq, t).value
+    w = win_probability(seq, t)
+    v = w.value
     up = upper_bound(t)
     low = lower_bound(seq.n, t.s, t.R_s)
     cor = corollary_bound(seq.n, t.s)
@@ -203,8 +209,10 @@ def bound_report(seq: OddsSequence) -> BoundReport:
 
     return BoundReport(
         v_n=v,
+        product_form=w.product_form,
         s=t.s,
         R_s=t.R_s,
+        boundary_flag=t.boundary_flag,
         upper=up,
         lower=low.value,
         lower_case=low.case,

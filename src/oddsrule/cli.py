@@ -23,7 +23,7 @@ import sys
 import click
 
 from . import bounds, core, extremal, oracle
-from .errors import InternalBoundViolation, OddsRuleError
+from .errors import IndexOutOfRange, InternalBoundViolation, OddsRuleError
 
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
@@ -102,7 +102,7 @@ def input_options(f):
         help="Read probabilities from a file: JSON {\"p\": [...]} or one per line.",
     )(f)
     f = click.option(
-        "--secretary", "secretary_n", type=int, metavar="N",
+        "--secretary", "secretary_n", type=click.IntRange(min=1), metavar="N",
         help="Use the builtin record sequence p_j = 1/j of length N.",
     )(f)
     f = click.option(
@@ -113,11 +113,17 @@ def input_options(f):
     return f
 
 
-def _parse_inline(text: str) -> list[float]:
+format_option = click.option(
+    "--format", "output_format", type=click.Choice(["text", "json"]),
+    default="text", show_default=True,
+)
+
+
+def _parse_floats(text: str, what: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise click.UsageError(f"cannot parse inline probabilities: {exc}")
+        raise click.UsageError(f"cannot parse {what}: {exc}")
 
 
 def _parse_file(path: str) -> list[float]:
@@ -142,13 +148,14 @@ def _parse_extremal_spec(spec: str) -> extremal.ExtremalConfig:
     try:
         for item in filter(None, args.split(",")):
             key, _, value = item.partition("=")
-            params[key.strip()] = float(value)
+            key = key.strip()
+            params[key] = int(value) if key in ("n", "s") else float(value)
     except ValueError as exc:
         raise click.UsageError(f"bad extremal spec {spec!r}: {exc}")
     return _generate_extremal(
         family,
-        n=int(params["n"]) if "n" in params else None,
-        s=int(params["s"]) if "s" in params else None,
+        n=params.get("n"),
+        s=params.get("s"),
         rs=params.get("rs", params.get("r1")),
         alpha=params.get("alpha"),
     )
@@ -178,7 +185,9 @@ def _generate_extremal(family, n, s, rs, alpha) -> extremal.ExtremalConfig:
     raise click.UsageError(f"unknown extremal family {family!r}")
 
 
-def resolve_probabilities(probs, file_path, secretary_n, extremal_spec) -> list[float]:
+def resolve_sequence(probs, file_path, secretary_n, extremal_spec) -> core.OddsSequence:
+    """The validated sequence named by the one input given; invalid input
+    exits with code 2."""
     given = [
         x for x in (probs, file_path, secretary_n, extremal_spec) if x is not None
     ]
@@ -186,39 +195,32 @@ def resolve_probabilities(probs, file_path, secretary_n, extremal_spec) -> list[
         raise click.UsageError(
             "provide exactly one input: inline PROBS, --file, --secretary or --extremal"
         )
-    if probs is not None:
-        return _parse_inline(probs)
-    if file_path is not None:
-        return _parse_file(file_path)
-    if secretary_n is not None:
-        if secretary_n < 1:
-            raise click.UsageError("--secretary needs N >= 1")
-        return list(core.secretary_sequence(secretary_n).p)
     try:
-        cfg = _parse_extremal_spec(extremal_spec)
+        if secretary_n is not None:
+            return core.secretary_sequence(secretary_n)
+        if extremal_spec is not None:
+            return _parse_extremal_spec(extremal_spec).seq
+        p = _parse_file(file_path) if probs is None else _parse_floats(probs, "PROBS")
+        return core.validate_probabilities(p)
     except OddsRuleError as exc:
-        raise click.UsageError(str(exc))
-    return list(cfg.seq.p)
+        _fail(str(exc))
 
 
 # ---------------------------------------------------------------- analyze
 
 
 def _analysis_document(seq: core.OddsSequence) -> dict:
-    t = core.threshold(seq)
-    w = core.win_probability(seq, t)
     report = bounds.bound_report(seq)
-    prior = bounds.prior_bounds(seq)
     return {
         "n": seq.n,
         "p": list(seq.p),
         "odds": list(seq.r),
         "suffix_sums": list(seq.R),
-        "s": t.s,
-        "R_s": t.R_s,
-        "boundary_flag": t.boundary_flag,
-        "v_n": w.value,
-        "v_n_odds_ratio": w.product_form,
+        "s": report.s,
+        "R_s": report.R_s,
+        "boundary_flag": report.boundary_flag,
+        "v_n": report.v_n,
+        "v_n_odds_ratio": report.product_form,
         "bounds": {
             "upper": {
                 "value": report.upper,
@@ -242,7 +244,7 @@ def _analysis_document(seq: core.OddsSequence) -> dict:
                 "applicable": report.e_bound_applicable,
             },
             "allaart_islas": {
-                "value": prior.ai_value,
+                "value": report.allaart_islas,
                 "applicable": report.e_bound_applicable,
                 "equality": report.equality.get("allaart_islas"),
             },
@@ -285,14 +287,11 @@ def _echo_analysis_text(doc: dict) -> None:
     click.echo(f"allaart-islas {fmt_human(ai['value'])}{applicable}{eq}")
 
 
-def _run_analysis(p: list[float], output_format: str) -> None:
+def _run_analysis(seq: core.OddsSequence, output_format: str) -> None:
     try:
-        seq = core.validate_probabilities(p)
         doc = _analysis_document(seq)
     except InternalBoundViolation as exc:
         _fail(str(exc), EXIT_VERIFY)
-    except OddsRuleError as exc:
-        _fail(str(exc))
     if output_format == "json":
         click.echo(render_json(doc))
     else:
@@ -311,40 +310,30 @@ def main():
 
 @main.command()
 @input_options
-@click.option(
-    "--format", "output_format", type=click.Choice(["text", "json"]),
-    default="text", show_default=True,
-)
+@format_option
 def analyze(probs, file_path, secretary_n, extremal_spec, output_format):
     """Threshold, win probability and full bound report for a sequence."""
-    p = resolve_probabilities(probs, file_path, secretary_n, extremal_spec)
-    _run_analysis(p, output_format)
+    _run_analysis(
+        resolve_sequence(probs, file_path, secretary_n, extremal_spec), output_format
+    )
 
 
 @main.command()
-@click.argument("n", type=int)
-@click.option(
-    "--format", "output_format", type=click.Choice(["text", "json"]),
-    default="text", show_default=True,
-)
+@click.argument("n", type=click.IntRange(min=1))
+@format_option
 def secretary(n, output_format):
     """Analyze the builtin record sequence p_j = 1/j (best-choice problem)."""
-    if n < 1:
-        _fail("secretary needs N >= 1")
-    _run_analysis(list(core.secretary_sequence(n).p), output_format)
+    _run_analysis(core.secretary_sequence(n), output_format)
 
 
 @main.command("oracle-check")
 @input_options
 @click.option(
-    "--trials", type=int, default=DEFAULT_TRIALS, show_default=True,
+    "--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS, show_default=True,
     envvar="ODDSRULE_TRIALS", show_envvar=True,
 )
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option(
-    "--format", "output_format", type=click.Choice(["text", "json"]),
-    default="text", show_default=True,
-)
+@format_option
 def oracle_check(probs, file_path, secretary_n, extremal_spec, trials, seed, output_format):
     """Cross-check the closed form against every independent oracle.
 
@@ -352,11 +341,7 @@ def oracle_check(probs, file_path, secretary_n, extremal_spec, trials, seed, out
     Carlo estimate lands within 4 standard errors; exits 3 otherwise
     (which would signal a bug, not a property of the input).
     """
-    p = resolve_probabilities(probs, file_path, secretary_n, extremal_spec)
-    try:
-        seq = core.validate_probabilities(p)
-    except OddsRuleError as exc:
-        _fail(str(exc))
+    seq = resolve_sequence(probs, file_path, secretary_n, extremal_spec)
     t = core.threshold(seq)
     v = core.win_probability(seq, t).value
 
@@ -466,10 +451,7 @@ def sweep(n_spec, s_spec, rs_spec, output_path):
     """
     ns = _parse_int_range(n_spec, "--n")
     ss = _parse_int_range(s_spec, "--s")
-    try:
-        grid = [float(tok) for tok in rs_spec.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise click.UsageError(f"bad --rs grid {rs_spec!r}: {exc}")
+    grid = _parse_floats(rs_spec, f"--rs grid {rs_spec!r}")
     if not ns or not ss or not grid:
         _fail("empty sweep grid")
 
@@ -546,10 +528,7 @@ def _sweep_attained_value(n: int, s: int, rs: float, case: int) -> float | None:
 @click.option("--s", type=int)
 @click.option("--rs", type=float, help="Suffix odds sum (R_1 for case1).")
 @click.option("--alpha", type=float, help="Case-3 closeness parameter in (0, 1).")
-@click.option(
-    "--format", "output_format", type=click.Choice(["text", "json"]),
-    default="text", show_default=True,
-)
+@format_option
 def extremal_cmd(family, n, s, rs, alpha, output_format):
     """Emit a bound-attaining probability sequence.
 
@@ -596,25 +575,20 @@ def extremal_cmd(family, n, s, rs, alpha, output_format):
 @click.option("--k", type=int, default=None,
               help="Threshold index; defaults to the optimal s.")
 @click.option(
-    "--trials", type=int, default=DEFAULT_TRIALS, show_default=True,
+    "--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS, show_default=True,
     envvar="ODDSRULE_TRIALS", show_envvar=True,
 )
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option(
-    "--format", "output_format", type=click.Choice(["text", "json"]),
-    default="text", show_default=True,
-)
+@format_option
 def simulate(probs, file_path, secretary_n, extremal_spec, k, trials, seed, output_format):
     """Monte Carlo estimate of a threshold rule's win probability."""
-    p = resolve_probabilities(probs, file_path, secretary_n, extremal_spec)
+    seq = resolve_sequence(probs, file_path, secretary_n, extremal_spec)
+    rule_k = core.threshold(seq).s if k is None else k
     try:
-        seq = core.validate_probabilities(p)
-        t = core.threshold(seq)
-        rule_k = t.s if k is None else k
         exact = oracle.threshold_rule_value(seq, rule_k)
-        sim = oracle.monte_carlo(seq, rule_k, trials, seed)
-    except OddsRuleError as exc:
+    except IndexOutOfRange as exc:
         _fail(str(exc))
+    sim = oracle.monte_carlo(seq, rule_k, trials, seed)
     if output_format == "json":
         click.echo(
             render_json(

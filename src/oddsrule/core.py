@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptySequence, IndexOutOfRange, NotANumber, OutOfRange
+from .errors import EmptySequence, IndexOutOfRange, InvalidArgument, NotANumber, OutOfRange
 
 # |R_l - 1| below this marks the threshold decision as numerically touchy.
 BOUNDARY_EPS = 1e-9
@@ -203,7 +203,7 @@ def win_prob_product_sum(seq: OddsSequence, k: int) -> float:
     """
     _check_window(seq, k)
     if not seq.odds_finite_on(k):
-        raise ValueError("product*sum form undefined: window contains p = 1")
+        raise InvalidArgument("product*sum form undefined: window contains p = 1")
     R_k = seq.R[k - 1]
     q = [1.0 - x for x in seq.p[k - 1 :]]
     prod = 1.0
@@ -229,7 +229,7 @@ def win_prob_odds_ratio(seq: OddsSequence, k: int) -> float:
     """
     _check_window(seq, k)
     if not seq.odds_finite_on(k):
-        raise ValueError("odds-ratio form undefined: window contains p = 1")
+        raise InvalidArgument("odds-ratio form undefined: window contains p = 1")
     R_k = seq.R[k - 1]
     denom = 1.0
     for x in seq.r[k - 1 :]:

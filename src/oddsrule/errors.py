@@ -45,6 +45,11 @@ class IndexOutOfRange(OddsRuleError):
         super().__init__(f"index {index} is outside [1, {n}]")
 
 
+class InvalidArgument(OddsRuleError, ValueError):
+    """An argument lies outside the function's domain: trials < 1, or an
+    odds form asked to evaluate a window holding a sure success (p = 1)."""
+
+
 class TooLarge(OddsRuleError):
     """The request exceeds a hard size cap (exhaustive enumeration)."""
 

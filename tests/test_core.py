@@ -7,6 +7,7 @@ from exact_oracle import exact_threshold, exact_win, exact_window_win
 from oddsrule import (
     EmptySequence,
     IndexOutOfRange,
+    InvalidArgument,
     NotANumber,
     OutOfRange,
     lindley_threshold,
@@ -171,6 +172,12 @@ class TestWinProbability:
             win_prob_product_sum(seq, 1)
         with pytest.raises(ValueError):
             win_prob_odds_ratio(seq, 1)
+
+    def test_sure_success_window_raises_package_error(self):
+        seq = validate_probabilities([1.0, 0.5])
+        for form in (win_prob_product_sum, win_prob_odds_ratio):
+            with pytest.raises(InvalidArgument):
+                form(seq, 1)
 
     def test_window_index_checked(self):
         seq = validate_probabilities([0.5, 0.5])

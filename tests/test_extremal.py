@@ -15,6 +15,15 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
+from oddsrule.extremal import _build_at_threshold
+
+
+# Window widths m <= 399 whose case-2 head needs a nudge of at least 64
+# ulps before the suffix odds sum reaches 1.
+LARGE_NUDGE_WIDTHS = (
+    143, 151, 170, 176, 180, 195, 213, 218, 236, 267, 287, 303,
+    309, 318, 321, 335, 341, 355, 383, 391, 393, 396, 398,
+)
 
 
 def _win(seq):
@@ -129,6 +138,19 @@ class TestLowerExtremalCase2:
                 assert t.s == s
                 assert lower_bound(n, s, t.R_s).case == 2
                 assert abs(_win(cfg.seq) - cfg.target_bound) <= 1e-12
+
+    @pytest.mark.parametrize("m", list(range(1, 21)) + list(LARGE_NUDGE_WIDTHS))
+    def test_attains_bound_at_s1(self, m):
+        cfg = lower_extremal_case2(m, 1)
+        t = threshold(cfg.seq)
+        assert t.s == 1 and t.R_s >= 1.0
+        assert lower_bound(m, 1, t.R_s).case == 2
+        assert abs(_win(cfg.seq) - cfg.target_bound) <= 1e-12
+
+    def test_unplaceable_threshold_raises_package_error(self):
+        # R_2 = 18 >= 1 whatever p_1 is, so s = 1 is out of reach
+        with pytest.raises(InconsistentInput):
+            _build_at_threshold([0.5, 0.9, 0.9], 1)
 
 
 class TestLowerNearExtremalCase3:

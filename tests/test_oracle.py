@@ -6,6 +6,7 @@ import pytest
 from exact_oracle import exact_window_win
 from oddsrule import (
     IndexOutOfRange,
+    InvalidArgument,
     TooLarge,
     dp_optimal_value,
     exhaustive_value,
@@ -217,6 +218,12 @@ class TestMonteCarlo:
         seq = validate_probabilities([0.5])
         with pytest.raises(ValueError):
             monte_carlo(seq, 1, 0, seed=1)
+
+    def test_bad_trials_raise_package_error(self):
+        seq = validate_probabilities([0.5])
+        for trials in (0, -3):
+            with pytest.raises(InvalidArgument):
+                monte_carlo(seq, 1, trials, seed=1)
 
     def test_negative_seed_normalized(self):
         seq = validate_probabilities([0.5, 0.5])
