@@ -22,8 +22,8 @@ import sys
 
 import click
 
-from . import bounds, core, extremal, oracle
-from .errors import IndexOutOfRange, InternalBoundViolation, OddsRuleError
+from . import __version__, bounds, core, extremal, oracle
+from .errors import InconsistentInput, IndexOutOfRange, InternalBoundViolation, OddsRuleError
 
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
@@ -119,6 +119,13 @@ format_option = click.option(
 )
 
 
+def monte_carlo_options(f):
+    f = click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)(f)
+    return click.option(
+        "--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS, show_default=True
+    )(f)
+
+
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -149,19 +156,17 @@ def _parse_extremal_spec(spec: str) -> extremal.ExtremalConfig:
         for item in filter(None, args.split(",")):
             key, _, value = item.partition("=")
             key = key.strip()
+            if key not in ("n", "s", "rs", "alpha"):
+                raise ValueError(f"unknown key {key!r}; use n, s, rs and alpha")
             params[key] = int(value) if key in ("n", "s") else float(value)
     except ValueError as exc:
         raise click.UsageError(f"bad extremal spec {spec!r}: {exc}")
-    return _generate_extremal(
-        family,
-        n=params.get("n"),
-        s=params.get("s"),
-        rs=params.get("rs", params.get("r1")),
-        alpha=params.get("alpha"),
-    )
+    return _generate_extremal(family, **params)
 
 
-def _generate_extremal(family, n, s, rs, alpha) -> extremal.ExtremalConfig:
+def _generate_extremal(
+    family, n=None, s=None, rs=None, alpha=None
+) -> extremal.ExtremalConfig:
     if n is None:
         raise click.UsageError("extremal generators need --n")
     if family == "upper":
@@ -302,7 +307,7 @@ def _run_analysis(seq: core.OddsSequence, output_format: str) -> None:
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="oddsrule")
+@click.version_option(version=__version__, prog_name="oddsrule")
 def main():
     """Optimal stopping on independent indicators: the odds rule, its
     success probability, sharp bounds, and verification oracles."""
@@ -328,11 +333,7 @@ def secretary(n, output_format):
 
 @main.command("oracle-check")
 @input_options
-@click.option(
-    "--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS, show_default=True,
-    envvar="ODDSRULE_TRIALS", show_envvar=True,
-)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
+@monte_carlo_options
 @format_option
 def oracle_check(probs, file_path, secretary_n, extremal_spec, trials, seed, output_format):
     """Cross-check the closed form against every independent oracle.
@@ -446,8 +447,9 @@ def sweep(n_spec, s_spec, rs_spec, output_path):
     Columns: n,s,R_s,case,lower,upper,corollary,v_n.  The v_n column is
     filled from the matching extremal configuration where one exists
     (case 1 at the given sum, case 2 at R_s = 1, the limiting family for
-    case 3) and left empty otherwise.  Grid points contradicting the
-    threshold definition (R_s < 1 with s > 1) are skipped with a notice.
+    case 3) and left empty otherwise.  Grid points outside the lower
+    bound's domain (s outside [1, n], R_s NaN or negative, R_s < 1 with
+    s > 1) are skipped with a notice.
     """
     ns = _parse_int_range(n_spec, "--n")
     ss = _parse_int_range(s_spec, "--s")
@@ -459,21 +461,16 @@ def sweep(n_spec, s_spec, rs_spec, output_path):
     rows = 0
     for n in ns:
         for s in ss:
-            if not 1 <= s <= n:
-                click.echo(f"notice: skipping s = {s} outside [1, {n}]", err=True)
-                continue
             for rs in grid:
-                if math.isnan(rs) or rs < 0:
-                    click.echo(f"notice: skipping R_s = {rs}", err=True)
-                    continue
-                if rs < 1.0 and s > 1:
+                try:
+                    low = bounds.lower_bound(n, s, rs)
+                except InconsistentInput as exc:
                     click.echo(
                         f"notice: skipping inconsistent point n={n} s={s} "
-                        f"R_s={rs} (R_s < 1 forces s = 1)",
+                        f"R_s={rs}: {exc}",
                         err=True,
                     )
                     continue
-                low = bounds.lower_bound(n, s, rs)
                 upper = core.odds_to_prob(rs)
                 corollary = bounds.corollary_bound(n, s)
                 v_n = _sweep_attained_value(n, s, rs, low.case)
@@ -574,11 +571,7 @@ def extremal_cmd(family, n, s, rs, alpha, output_format):
 @input_options
 @click.option("--k", type=int, default=None,
               help="Threshold index; defaults to the optimal s.")
-@click.option(
-    "--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS, show_default=True,
-    envvar="ODDSRULE_TRIALS", show_envvar=True,
-)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
+@monte_carlo_options
 @format_option
 def simulate(probs, file_path, secretary_n, extremal_spec, k, trials, seed, output_format):
     """Monte Carlo estimate of a threshold rule's win probability."""

@@ -52,9 +52,10 @@ class OddsSequence:
     """Validated success probabilities with derived odds and suffix sums.
 
     ``r[j]`` is the odds of entry ``j`` (+inf where p = 1) and ``R[l-1]``
-    holds the suffix sum ``r_l + ... + r_n``.  Instances are immutable and
-    safe to share between threads; construct them via
-    :func:`validate_probabilities`.
+    holds the suffix sum ``r_l + ... + r_n``: the exact sum of the stored
+    odds rounded once to nearest, +inf when a sure success lies at or
+    after ``l``.  Instances are immutable and safe to share between
+    threads; construct them via :func:`validate_probabilities`.
     """
 
     p: tuple[float, ...]
@@ -99,33 +100,28 @@ class WinProbability:
 
 
 def _suffix_odds_sums(odds: Sequence[float]) -> list[float]:
-    # Right-to-left summation keeping the exact running sum as a list of
-    # non-overlapping partials (Shewchuk's growing expansion), so every
-    # stored suffix sum is the true sum rounded once.  The threshold
-    # comparison R_l >= 1 is taken on these correctly rounded values; an
-    # ordinary running sum can land on the wrong side of 1.
-    n = len(odds)
-    sums = [0.0] * n
-    partials: list[float] = []
-    infinite = False
-    for j in range(n - 1, -1, -1):
+    # Right-to-left exact summation, so every stored suffix sum is the true
+    # sum rounded once.  A finite double is m / d with d a power of two, so
+    # the running sum is the exact integer ``total`` in units of 1/D, D the
+    # largest d seen so far; a larger d rescales ``total`` by a shift, and
+    # int / int true division rounds correctly.  The threshold comparison
+    # R_l >= 1 is taken on these correctly rounded values; an ordinary
+    # running sum can land on the wrong side of 1.  Odds are >= 0, so the
+    # only non-finite value is a sure success's +inf, which makes its own
+    # and every earlier suffix sum inf.
+    sums = [math.inf] * len(odds)
+    total, D, k = 0, 1, 1  # k = D.bit_length()
+    for j in range(len(odds) - 1, -1, -1):
         x = odds[j]
-        if infinite or math.isinf(x):
-            infinite = True
-            sums[j] = math.inf
-            continue
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-        sums[j] = math.fsum(partials)
+        if x == math.inf:
+            break
+        m, d = x.as_integer_ratio()
+        e = d.bit_length()
+        if e > k:
+            total <<= e - k
+            D, k = d, e
+        total += m << (k - e)
+        sums[j] = total / D
     return sums
 
 

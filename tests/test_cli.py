@@ -184,6 +184,15 @@ class TestAnalyze:
         assert res.exit_code == 2
         assert "bad extremal spec" in res.output
 
+    @pytest.mark.parametrize(
+        "spec", ["case3:n=6,s=2,alpah=0.5", "upper:n=5,s=3,r1=1"]
+    )
+    def test_extremal_spec_rejects_unknown_key(self, runner, spec):
+        res = invoke(runner, "analyze", "--extremal", spec)
+        assert res.exit_code == 2
+        assert "bad extremal spec" in res.output
+        assert "unknown key" in res.output
+
     def test_json_byte_identical(self, runner):
         a = invoke(runner, "analyze", "0.3,0.1,0.7", "--format", "json")
         b = invoke(runner, "analyze", "0.3,0.1,0.7", "--format", "json")
@@ -270,6 +279,15 @@ class TestSweep:
         assert "skipping inconsistent point" in res.output
         body = out.read_text().splitlines()[1:]
         assert all(line.split(",")[2] != "0.5" for line in body)
+
+    def test_points_outside_lower_bound_domain_skipped(self, runner):
+        res = runner.invoke(
+            main, ["sweep", "--n", "5", "--s", "2,7", "--rs", "1,-1", "-o", "-"]
+        )
+        assert res.exit_code == 0
+        assert res.output.count("skipping inconsistent point") == 3
+        assert "n=5 s=7 R_s=1.0: need 1 <= s <= n" in res.output
+        assert "n=5 s=2 R_s=-1.0: need R_s >= 0" in res.output
 
     def test_byte_identical_runs(self, runner, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -374,15 +392,6 @@ class TestSimulate:
         doc = json.loads(res.output)
         assert doc["wins"] == 0
         assert doc["exact"] == 0.0
-
-    def test_env_var_sets_trials(self, runner):
-        res = runner.invoke(
-            main,
-            ["simulate", "0.5,0.5", "--seed", "1", "--format", "json"],
-            env={"ODDSRULE_TRIALS": "12345"},
-            catch_exceptions=False,
-        )
-        assert json.loads(res.output)["trials"] == 12345
 
     def test_bad_k_exits_2(self, runner):
         res = runner.invoke(main, ["simulate", "0.5", "--k", "9", "--trials", "10"])

@@ -1,9 +1,10 @@
 """Property-based checks of the documented invariants."""
 
 import math
+from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from exact_oracle import exact_threshold, exact_window_win
 from oddsrule import (
@@ -51,6 +52,31 @@ def test_suffix_sums_monotone_and_recursive(probs):
         else:
             expect = seq.r[l] + seq.R[l + 1]
             assert abs(seq.R[l] - expect) <= 4 * math.ulp(max(1.0, expect))
+
+
+@given(wide_prob_lists)
+# both near-tie families [0.5] + [1/(m+2)]*(m+1) and [0, 0.3] + [1/(m+1)]*m
+@example([0.5] + [1 / 7] * 6)
+@example([0.5] + [1 / 1001] * 1000)
+@example([0.0, 0.3] + [1 / 8] * 7)
+@example([0.0, 0.3] + [1 / 1000] * 999)
+@example([-0.0, 0.0, -0.0])
+@example([5e-324, 0.3, 2.2250738585072014e-308, 1e-310])
+@example([1 - 2**-53, 1e-300, 1 - 2**-53, 0.5])
+@example([0.9, 1.0, 1 - 2**-53, 5e-324])
+@example([2.0**-k for k in range(0, 1075, 13)])
+def test_suffix_sums_correctly_rounded(probs):
+    seq = validate_probabilities(probs)
+    exact = Fraction(0)
+    sure = False
+    for l in range(seq.n - 1, -1, -1):
+        sure = sure or math.isinf(seq.r[l])
+        if sure:
+            assert math.isinf(seq.R[l])
+        else:
+            # float(sum(map(Fraction, seq.r[l:]))), accumulated suffix-wise
+            exact += Fraction(seq.r[l])
+            assert seq.R[l].hex() == float(exact).hex()
 
 
 @given(wide_prob_lists)
