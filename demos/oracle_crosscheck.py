@@ -50,6 +50,6 @@ for k, value in enumerate(family, start=1):
     mark = " <- s" if k == t.s else ""
     print(f"  k = {k}: {value:.6f} {bar}{mark}")
 
-print("\nsame seed, same answer (partition-independent chunked streams):")
+print("\nsame seed, same answer (one generator, window columns only):")
 again = monte_carlo(seq, t.s, trials=1_000_000, seed=42)
 print("  rerun wins equal:", again.wins == sim.wins)

@@ -23,7 +23,8 @@ import sys
 import click
 
 from . import __version__, bounds, core, extremal, oracle
-from .errors import InconsistentInput, IndexOutOfRange, InternalBoundViolation, OddsRuleError
+from .errors import InconsistentInput, IndexOutOfRange, InternalBoundViolation
+from .errors import InvalidArgument, OddsRuleError
 
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
@@ -156,38 +157,37 @@ def _parse_extremal_spec(spec: str) -> extremal.ExtremalConfig:
         for item in filter(None, args.split(",")):
             key, _, value = item.partition("=")
             key = key.strip()
-            if key not in ("n", "s", "rs", "alpha"):
-                raise ValueError(f"unknown key {key!r}; use n, s, rs and alpha")
+            if key in params:
+                raise ValueError(f"repeated key {key!r}")
             params[key] = int(value) if key in ("n", "s") else float(value)
+        return _generate_extremal(family, params)
     except ValueError as exc:
         raise click.UsageError(f"bad extremal spec {spec!r}: {exc}")
-    return _generate_extremal(family, **params)
 
 
-def _generate_extremal(
-    family, n=None, s=None, rs=None, alpha=None
-) -> extremal.ExtremalConfig:
-    if n is None:
-        raise click.UsageError("extremal generators need --n")
-    if family == "upper":
-        if s is None or rs is None:
-            raise click.UsageError("family 'upper' needs --s and --rs")
-        return extremal.upper_extremal(n, s, rs)
-    if family == "case1":
-        if rs is None:
-            raise click.UsageError("family 'case1' needs --rs (the sum R_1 < 1)")
-        return extremal.lower_extremal_case1(n, rs)
-    if family == "case2":
-        if s is None:
-            raise click.UsageError("family 'case2' needs --s")
-        return extremal.lower_extremal_case2(n, s)
-    if family == "case3":
-        if s is None:
-            raise click.UsageError("family 'case3' needs --s")
-        if alpha is None:
-            return extremal.lower_near_extremal_case3(n, s)
-        return extremal.lower_near_extremal_case3(n, s, alpha)
-    raise click.UsageError(f"unknown extremal family {family!r}")
+# family -> (generator, its keys in argument order, how many are required)
+EXTREMAL_FAMILIES = {
+    "upper": (extremal.upper_extremal, ("n", "s", "rs"), 3),
+    "case1": (extremal.lower_extremal_case1, ("n", "rs"), 2),
+    "case2": (extremal.lower_extremal_case2, ("n", "s"), 2),
+    "case3": (extremal.lower_near_extremal_case3, ("n", "s", "alpha"), 2),
+}
+
+
+def _generate_extremal(family: str, params: dict) -> extremal.ExtremalConfig:
+    """Raises InvalidArgument when the family or the keys do not fit."""
+    if family not in EXTREMAL_FAMILIES:
+        raise InvalidArgument(f"unknown extremal family {family!r}")
+    generator, keys, required = EXTREMAL_FAMILIES[family]
+    unknown = [key for key in params if key not in keys]
+    if unknown:
+        raise InvalidArgument(
+            f"unknown key {', '.join(unknown)}; family {family!r} takes {', '.join(keys)}"
+        )
+    missing = [key for key in keys[:required] if key not in params]
+    if missing:
+        raise InvalidArgument(f"family {family!r} needs {', '.join(missing)}")
+    return generator(*(params[key] for key in keys if key in params))
 
 
 def resolve_sequence(probs, file_path, secretary_n, extremal_spec) -> core.OddsSequence:
@@ -520,13 +520,13 @@ def _sweep_attained_value(n: int, s: int, rs: float, case: int) -> float | None:
 
 
 @main.command("extremal")
-@click.argument("family", type=click.Choice(["upper", "case1", "case2", "case3"]))
+@click.argument("family", type=click.Choice(list(EXTREMAL_FAMILIES)))
 @click.option("--n", type=int, required=True)
 @click.option("--s", type=int)
 @click.option("--rs", type=float, help="Suffix odds sum (R_1 for case1).")
 @click.option("--alpha", type=float, help="Case-3 closeness parameter in (0, 1).")
 @format_option
-def extremal_cmd(family, n, s, rs, alpha, output_format):
+def extremal_cmd(family, output_format, **params):
     """Emit a bound-attaining probability sequence.
 
     Families: 'upper' (single-entry window, attains the upper bound),
@@ -535,7 +535,7 @@ def extremal_cmd(family, n, s, rs, alpha, output_format):
     family for the strict lower bound).
     """
     try:
-        cfg = _generate_extremal(family, n, s, rs, alpha)
+        cfg = _generate_extremal(family, {k: v for k, v in params.items() if v is not None})
     except OddsRuleError as exc:
         _fail(str(exc))
     seq = cfg.seq

@@ -6,7 +6,7 @@ evaluation in :mod:`oddsrule.core`:
 * exact backward induction over *all* adapted stopping rules,
 * the exact value of every fixed threshold rule,
 * exhaustive enumeration of the 2^n outcome vectors (small n),
-* a seeded Monte Carlo simulator with partition-independent streams.
+* a seeded Monte Carlo simulator that draws only the rule's window.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .core import OddsSequence
 from .errors import IndexOutOfRange, InvalidArgument, TooLarge
 
 EXHAUSTIVE_MAX_N = 20
-MC_CHUNK = 1 << 16
+MC_CHUNK = 1 << 18  # uniforms per Monte Carlo draw
 
 
 @dataclass(frozen=True)
@@ -139,31 +139,25 @@ def monte_carlo(
 ) -> SimulationReport:
     """Simulate the threshold-k rule on sampled indicator vectors.
 
-    A trial is a win when its window [k, n] holds exactly one success.
-    Deterministic given (seed, trials) no matter how the work is split:
-    trial chunk i always draws from a generator seeded with
-    SeedSequence(entropy=seed, spawn_key=(i,)), and chunk boundaries are
-    fixed by MC_CHUNK, not by worker count.  Raises InvalidArgument when
+    A trial is a win when its window [k, n] holds exactly one success,
+    so only the window columns p_k..p_n are drawn.  One generator,
+    default_rng(seed mod 2^64), fills the trials row by row; it is drawn
+    in blocks of about MC_CHUNK uniforms, which bounds memory and does
+    not change the numbers.  The report is therefore a function of
+    (seed, trials, p_k..p_n) alone.  Raises InvalidArgument when
     trials < 1.
     """
     if not 1 <= k <= seq.n:
         raise IndexOutOfRange(k, seq.n)
     if trials < 1:
         raise InvalidArgument(f"need trials >= 1, got {trials}")
-    p = np.asarray(seq.p)
-    entropy = int(seed) % (1 << 64)  # SeedSequence wants a nonnegative int
+    window = np.asarray(seq.p[k - 1 :])
+    rows = max(1, MC_CHUNK // window.size)
+    rng = np.random.default_rng(int(seed) % (1 << 64))
     wins = 0
-    done = 0
-    chunk = 0
-    while done < trials:
-        m = min(MC_CHUNK, trials - done)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=entropy, spawn_key=(chunk,))
-        )
-        hits = rng.random((m, seq.n)) < p
-        wins += int((hits[:, k - 1 :].sum(axis=1) == 1).sum())
-        done += m
-        chunk += 1
+    for start in range(0, trials, rows):
+        hits = rng.random((min(rows, trials - start), window.size)) < window
+        wins += int((hits.sum(axis=1) == 1).sum())
     estimate = wins / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return SimulationReport(

@@ -411,3 +411,23 @@ def test_nonpositive_trials_exit_2(runner, args):
     assert res.exit_code == 2
     assert "Traceback" not in res.output
     assert "--trials" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--extremal", "case2:n=4,n=6,s=1"],  # repeated key
+        ["analyze", "--extremal", "case2:n=4,s=1,rs=0.5"],  # case 2 takes no rs
+        ["analyze", "--extremal", "case2:s=1"],  # n missing
+        ["extremal", "case1", "--n", "4", "--s", "3", "--rs", "0.5"],  # case 1 takes no s
+        ["extremal", "upper", "--n", "4", "--s", "2", "--rs", "2", "--alpha", "0.3"],
+        ["extremal", "upper", "--n", "4", "--s", "2"],  # rs missing
+    ],
+)
+def test_extremal_keys_must_fit_the_family(runner, args):
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.output
+    if args[0] == "analyze":
+        assert "bad extremal spec" in res.output

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
+from oddsrule import oracle
 from oddsrule.oracle import MC_CHUNK
 
 
@@ -230,3 +232,28 @@ class TestMonteCarlo:
         rep = monte_carlo(seq, 1, 1000, seed=-7)
         assert rep.seed == -7
         assert rep == monte_carlo(seq, 1, 1000, seed=-7)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
+    def test_report_does_not_depend_on_chunk_size(self, monkeypatch, chunk):
+        # at the default chunk size, 70 000 trials of width 5 take two blocks
+        seq = validate_probabilities([0.1, 0.3, 0.2, 0.25, 0.4])
+        want = monte_carlo(seq, 1, 70_000, seed=13)
+        monkeypatch.setattr(oracle, "MC_CHUNK", chunk)
+        assert monte_carlo(seq, 1, 70_000, seed=13) == want
+
+    def test_only_the_window_is_drawn(self):
+        w = [0.2, 0.05, 0.5, 0.3]
+        for seed in (0, 3, -1):
+            behind_prefix = monte_carlo(validate_probabilities([0.3, 0.9] + w), 3, 20_000, seed)
+            assert behind_prefix == monte_carlo(validate_probabilities(w), 1, 20_000, seed)
+
+    def test_memory_bounded_by_chunk(self):
+        seq = secretary_sequence(10_000)
+        s = threshold(seq).s
+        tracemalloc.start()
+        try:
+            monte_carlo(seq, s, 2_000, seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * MC_CHUNK
