@@ -27,9 +27,6 @@ from .core import (
     secretary_sequence,
     threshold,
     validate_probabilities,
-    win_prob_expanded,
-    win_prob_odds_ratio,
-    win_prob_product_sum,
     win_probability,
 )
 from .errors import (
@@ -108,8 +105,5 @@ __all__ = [
     "upper_bound",
     "upper_extremal",
     "validate_probabilities",
-    "win_prob_expanded",
-    "win_prob_odds_ratio",
-    "win_prob_product_sum",
     "win_probability",
 ]

@@ -10,8 +10,8 @@ index ``s`` or later, and its success probability is
     V_n = prod_{j=s..n} (1 - p_j) * sum_{l=s..n} r_l.
 
 This module builds the validated sequence (odds and suffix sums included),
-locates the threshold, and evaluates V_n in three algebraically equivalent
-ways that serve as mutual cross-checks.
+locates the threshold, and evaluates V_n by one formula, with the
+odds-ratio form R_s / prod(1 + r_j) attached as a cross-check.
 
 All public indices are 1-based, matching the usual mathematical
 convention; the tuples stored on the dataclasses are ordinary 0-based
@@ -28,9 +28,6 @@ from .errors import EmptySequence, IndexOutOfRange, InvalidArgument, NotANumber,
 
 # |R_l - 1| below this marks the threshold decision as numerically touchy.
 BOUNDARY_EPS = 1e-9
-
-# Direct products switch to the log domain below this magnitude.
-UNDERFLOW_GUARD = 1e-300
 
 
 def prob_to_odds(p: float) -> float:
@@ -66,10 +63,6 @@ class OddsSequence:
     def n(self) -> int:
         return len(self.p)
 
-    def odds_finite_on(self, k: int) -> bool:
-        """True when no entry of the window [k, n] is a sure success."""
-        return all(math.isfinite(x) for x in self.r[k - 1 :])
-
 
 @dataclass(frozen=True)
 class ThresholdResult:
@@ -89,10 +82,10 @@ class ThresholdResult:
 class WinProbability:
     """Success probability of the odds rule.
 
-    ``value`` always holds the expanded sum-of-products evaluation, which
-    stays finite even when the window contains a sure success.
+    ``value`` is V_n, finite and correct also when p_s = 1.
     ``product_form`` is the odds-ratio evaluation R_s / prod(1 + r_j),
-    present only when every odds in the window is finite.
+    present only when p_s < 1 (the only place a threshold window can
+    hold a sure success).
     """
 
     value: float
@@ -162,93 +155,30 @@ def threshold(seq: OddsSequence) -> ThresholdResult:
     return ThresholdResult(s=s, R_s=seq.R[s - 1], boundary_flag=boundary)
 
 
-def _check_window(seq: OddsSequence, k: int) -> None:
-    if not 1 <= k <= seq.n:
-        raise IndexOutOfRange(k, seq.n)
-
-
-def win_prob_expanded(seq: OddsSequence, k: int) -> float:
-    """Window win probability as the expanded sum of products.
-
-    sum_{l=k..n} p_l * prod_{j in [k,n], j != l} (1 - p_j): the chance
-    that the window [k, n] holds exactly one success, i.e. that the rule
-    "stop at the first success at or after k" stops on the last success.
-    Finite and correct even when some p_j = 1.
-    """
-    _check_window(seq, k)
-    p = seq.p[k - 1 :]
-    q = [1.0 - x for x in p]
-    m = len(p)
-    pre = [1.0] * (m + 1)
-    for i in range(m):
-        pre[i + 1] = pre[i] * q[i]
-    suf = [1.0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suf[i] = q[i] * suf[i + 1]
-    total = math.fsum(p[i] * pre[i] * suf[i + 1] for i in range(m))
-    # Term-level rounding can overshoot 1 by ulps on near-degenerate
-    # windows; the true value is a probability.
-    return min(total, 1.0)
-
-
-def win_prob_product_sum(seq: OddsSequence, k: int) -> float:
-    """Window win probability as prod(1 - p_j) * R_k.
-
-    Requires all odds on [k, n] finite (otherwise the product is 0 and
-    the sum infinite, which this form cannot resolve).
-    """
-    _check_window(seq, k)
-    if not seq.odds_finite_on(k):
-        raise InvalidArgument("product*sum form undefined: window contains p = 1")
-    R_k = seq.R[k - 1]
-    q = [1.0 - x for x in seq.p[k - 1 :]]
-    prod = 1.0
-    underflow = False
-    for x in q:
-        prod *= x
-        if 0.0 < prod < UNDERFLOW_GUARD:
-            underflow = True
-            break
-    if not underflow:
-        return prod * R_k
-    if R_k == 0.0:
-        return 0.0
-    # Log-domain rescue: the product alone can underflow while the final
-    # value is still representable (huge R_k).
-    return math.exp(math.fsum(math.log(x) for x in q) + math.log(R_k))
-
-
-def win_prob_odds_ratio(seq: OddsSequence, k: int) -> float:
-    """Window win probability as R_k / prod(1 + r_j).
-
-    Same finiteness requirement as :func:`win_prob_product_sum`.
-    """
-    _check_window(seq, k)
-    if not seq.odds_finite_on(k):
-        raise InvalidArgument("odds-ratio form undefined: window contains p = 1")
-    R_k = seq.R[k - 1]
-    denom = 1.0
-    for x in seq.r[k - 1 :]:
-        denom *= 1.0 + x
-    if math.isinf(denom):
-        if R_k == 0.0:
-            return 0.0
-        return math.exp(
-            math.log(R_k) - math.fsum(math.log1p(x) for x in seq.r[k - 1 :])
-        )
-    return R_k / denom
-
-
 def win_probability(seq: OddsSequence, t: ThresholdResult) -> WinProbability:
     """Success probability of the odds rule with threshold ``t``.
 
-    ``value`` comes from the expanded form; ``product_form`` is the
-    odds-ratio recomputation, omitted when the window holds a sure
-    success.  The two agree within 1e-12 whenever both are defined.
+    ``value`` is prod_{j>s} (1 - p_j) * (p_s + (1 - p_s) * R_{s+1}), with
+    R_{n+1} = 0 and the product taken as exp(fsum(log1p(-p_j))).  At the
+    threshold R_{s+1} < 1, so no later p_j is 1 and the product lies in
+    [1/e, 1]; a sure success at p_s needs no special case.
+    ``product_form`` is the odds-ratio cross-check R_s / prod(1 + r_j),
+    None when p_s = 1.
+
+    Raises IndexOutOfRange when s is outside [1, n] and InvalidArgument
+    when R_{s+1} >= 1, i.e. when ``t`` is not the threshold of ``seq``.
     """
-    value = win_prob_expanded(seq, t.s)
+    s = t.s
+    if not 1 <= s <= seq.n:
+        raise IndexOutOfRange(s, seq.n)
+    R_next = seq.R[s] if s < seq.n else 0.0
+    if R_next >= 1.0:
+        raise InvalidArgument(f"s = {s} is not the threshold: R_{s + 1} >= 1")
+    p_s = seq.p[s - 1]
+    survive = math.exp(math.fsum(math.log1p(-x) for x in seq.p[s:]))
+    value = survive * (p_s + (1.0 - p_s) * R_next)
     product_form = (
-        win_prob_odds_ratio(seq, t.s) if seq.odds_finite_on(t.s) else None
+        None if p_s == 1.0 else seq.R[s - 1] / math.prod(1.0 + x for x in seq.r[s - 1 :])
     )
     return WinProbability(value=value, product_form=product_form)
 

@@ -46,8 +46,8 @@ class IndexOutOfRange(OddsRuleError):
 
 
 class InvalidArgument(OddsRuleError, ValueError):
-    """An argument lies outside the function's domain: trials < 1, or an
-    odds form asked to evaluate a window holding a sure success (p = 1)."""
+    """An argument lies outside the function's domain: trials < 1, or a
+    threshold that is not the threshold of the sequence (R_{s+1} >= 1)."""
 
 
 class TooLarge(OddsRuleError):

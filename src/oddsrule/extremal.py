@@ -13,8 +13,8 @@ window head sometimes needs an upward nudge so that the suffix odds sum
 crosses 1 exactly (e.g. m equal odds of nominal value 1/m can round to
 one ulp below 1).  The generators take the smallest nudge that works.
 For the case-2 window of width 1..1000 it ranges from 0 to 730 ulps,
-and the attained value stays within 2.1e-14 of the bound, far inside the
-1e-12 equality tolerance.
+and the attained value stays within 2.3e-16 of the bound (s = 1 and
+s = 4), far inside the 1e-12 equality tolerance.
 """
 
 from __future__ import annotations

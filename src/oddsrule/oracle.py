@@ -7,6 +7,11 @@ evaluation in :mod:`oddsrule.core`:
 * the exact value of every fixed threshold rule,
 * exhaustive enumeration of the 2^n outcome vectors (small n),
 * a seeded Monte Carlo simulator that draws only the rule's window.
+
+The three recurrences (backward induction and both threshold-rule
+sweeps) never form 1 - p: each step adds a p-weighted difference, as in
+Q -= p * Q, so a long run of small p does not repeat the rounding of
+1 - p in every factor.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ class DPResult:
     ``continuation[k-1]`` is the value V_k of still being in the game
     before observing trial k (V_{n+1} = 0 is appended), satisfying
 
-        V_k = p_k * max(Q_{k+1}, V_{k+1}) + (1 - p_k) * V_{k+1}
+        V_k = V_{k+1} + p_k * max(Q_{k+1} - V_{k+1}, 0)
 
     with Q_k the probability of no success in [k, n].  ``stop_set``
     holds the indices where stopping on an observed success is strictly
@@ -63,8 +68,8 @@ def dp_optimal_value(seq: OddsSequence) -> DPResult:
         v_next = values[k]
         if q_next > v_next:
             stop.append(k)
-        values[k - 1] = p_k * max(q_next, v_next) + (1.0 - p_k) * v_next
-        q_next *= 1.0 - p_k
+        values[k - 1] = v_next + p_k * max(q_next - v_next, 0.0)
+        q_next -= p_k * q_next
     return DPResult(
         value=values[0], stop_set=frozenset(stop), continuation=tuple(values)
     )
@@ -81,18 +86,16 @@ def threshold_rule_value(seq: OddsSequence, k: int) -> float:
         raise IndexOutOfRange(k, seq.n)
     none = 1.0
     one = 0.0
-    for j in range(k - 1, seq.n):
-        p_j = seq.p[j]
-        q_j = 1.0 - p_j
-        one = one * q_j + none * p_j
-        none = none * q_j
+    for p_j in seq.p[k - 1 :]:
+        one += p_j * (none - one)
+        none -= p_j * none
     return one
 
 
 def threshold_rule_values(seq: OddsSequence) -> tuple[float, ...]:
     """Win probability of every threshold rule k = 1..n in one sweep.
 
-    Uses the backward recurrence P_k = p_k * Q_{k+1} + (1-p_k) * P_{k+1},
+    Uses the backward recurrence P_k = P_{k+1} + p_k * (Q_{k+1} - P_{k+1}),
     a different route than :func:`threshold_rule_value`, so the two can
     cross-check each other.
     """
@@ -102,9 +105,9 @@ def threshold_rule_values(seq: OddsSequence) -> tuple[float, ...]:
     p_next = 0.0
     for k in range(n, 0, -1):
         p_k = seq.p[k - 1]
-        p_next = p_k * q_next + (1.0 - p_k) * p_next
+        p_next += p_k * (q_next - p_next)
         vals[k - 1] = p_next
-        q_next *= 1.0 - p_k
+        q_next -= p_k * q_next
     return tuple(vals)
 
 
@@ -123,14 +126,13 @@ def exhaustive_value(seq: OddsSequence, k: int) -> float:
         raise TooLarge(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}, got {n}")
     if not 1 <= k <= n:
         raise IndexOutOfRange(k, n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    weights = np.ones(1 << n)
-    successes = np.zeros(1 << n, dtype=np.int8)  # in the window [k, n]
-    for j in range(n):
-        bit = (idx >> j) & 1
-        weights *= np.where(bit == 1, seq.p[j], 1.0 - seq.p[j])
-        if j >= k - 1:
-            successes += bit
+    # Outcome i has I_j = bit j of i: each trial doubles both arrays, the
+    # new upper half being the outcomes with I_j = 1.
+    weights = np.ones(1)
+    successes = np.zeros(1, dtype=np.int8)  # in the window [k, n]
+    for j, p_j in enumerate(seq.p):
+        weights = np.concatenate((weights * (1.0 - p_j), weights * p_j))
+        successes = np.concatenate((successes, successes + (j >= k - 1)))
     return math.fsum(weights[successes == 1].tolist())
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oddsrule import validate_probabilities
+from exact_oracle import decimal_window_win
+from oddsrule import threshold, validate_probabilities
 
 CORPUS_SEED = 20260810
 CORPUS_SIZE = 10_000
@@ -16,3 +17,16 @@ def corpus():
         n = int(rng.integers(1, 51))
         seqs.append(validate_probabilities(rng.uniform(0.0, 0.95, size=n).tolist()))
     return seqs
+
+
+@pytest.fixture(scope="session", params=[[0.5], [0.0, 0.3]], ids=["0.5", "0,0.3"])
+def large_near_tie(request):
+    """A near-tie at n ~ 10^5: ``head + [1/99919] * 99918``.
+
+    The tail's odds sum to within about 1e-12 of 1, and its 99 918 equal
+    factors 1 - p repeat one rounding error.  Returns the sequence, its
+    threshold and the 60-digit reference value of that threshold's window.
+    """
+    seq = validate_probabilities(request.param + [1 / 99919] * 99918)
+    s = threshold(seq).s
+    return seq, s, float(decimal_window_win(seq.p, s))

@@ -1,12 +1,14 @@
 """Exact rational reference computations for freezing expected values.
 
-Everything here runs in fractions.Fraction arithmetic on the exact binary
-values of the input floats, sharing no code (and no rounding behaviour)
-with the library's floating-point paths.
+Everything here runs on the exact binary values of the input floats, in
+fractions.Fraction arithmetic or, where n is too large for Fractions, in
+60-digit decimal arithmetic; none of it shares code (or rounding
+behaviour) with the library's floating-point paths.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -24,6 +26,24 @@ def exact_window_win(probs, k: int) -> Fraction:
         one = one * q + none * p
         none *= q
     return one
+
+
+def decimal_window_win(probs, k: int) -> Decimal:
+    """exact_window_win in 60-digit decimal arithmetic.
+
+    Each step rounds relative to 1e-60, so even at n = 10^5 the result is
+    far closer to the exact value than a double can resolve.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        none = Decimal(1)
+        one = Decimal(0)
+        for x in probs[k - 1 :]:
+            p = Decimal(x)
+            q = 1 - p
+            one = one * q + none * p
+            none *= q
+        return one
 
 
 def exact_threshold(probs) -> int:

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from exact_oracle import exact_win
+from exact_oracle import exact_win, exact_window_win
 from oddsrule import (
     dp_optimal_value,
     equal_odds_sequence,
@@ -31,9 +31,6 @@ from oddsrule import (
     upper_bound,
     upper_extremal,
     validate_probabilities,
-    win_prob_expanded,
-    win_prob_odds_ratio,
-    win_prob_product_sum,
     win_probability,
 )
 
@@ -52,10 +49,11 @@ def test_criterion_01_formula_equivalence(corpus):
     start = time.perf_counter()
     worst = 0.0
     for seq in corpus:
-        s = threshold(seq).s
-        a = win_prob_expanded(seq, s)
-        b = win_prob_product_sum(seq, s)
-        c = win_prob_odds_ratio(seq, s)
+        t = threshold(seq)
+        w = win_probability(seq, t)
+        a = float(exact_window_win(seq.p, t.s))
+        b = w.value
+        c = w.product_form
         worst = max(worst, abs(a - b), abs(a - c), abs(b - c))
         assert abs(a - b) <= TOL
         assert abs(a - c) <= TOL

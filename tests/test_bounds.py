@@ -185,6 +185,12 @@ class TestBoundReport:
             assert r.v_n == w.value
             assert r.product_form == w.product_form
 
+    def test_large_near_tie_holds(self, large_near_tie):
+        # V_n sits on the case-2 bound; an inaccurate V_n fell below it
+        # by 2e-12 and raised InternalBoundViolation
+        seq, s, _ = large_near_tie
+        assert bound_report(seq).s == s
+
     def test_upper_equality_config(self):
         report = bound_report(validate_probabilities([0, 0, 0.5, 0, 0]))
         assert report.upper == 0.5

@@ -10,15 +10,13 @@ from oddsrule import (
     InvalidArgument,
     NotANumber,
     OutOfRange,
+    ThresholdResult,
     lindley_threshold,
     odds_to_prob,
     prob_to_odds,
     secretary_sequence,
     threshold,
     validate_probabilities,
-    win_prob_expanded,
-    win_prob_odds_ratio,
-    win_prob_product_sum,
     win_probability,
 )
 
@@ -159,32 +157,26 @@ class TestWinProbability:
     def test_forms_agree(self):
         for probs in ([0.3, 0.6, 0.2], [0.05] * 10, [0.9, 0.8, 0.7], [0.4]):
             seq = validate_probabilities(probs)
-            s = threshold(seq).s
-            a = win_prob_expanded(seq, s)
-            b = win_prob_product_sum(seq, s)
-            c = win_prob_odds_ratio(seq, s)
+            t = threshold(seq)
+            w = win_probability(seq, t)
+            a = float(exact_window_win(probs, t.s))
+            b = w.value
+            c = w.product_form
             assert abs(a - b) <= 1e-12
             assert abs(a - c) <= 1e-12
-
-    def test_forms_reject_sure_success_window(self):
-        seq = validate_probabilities([1.0, 0.5])
-        with pytest.raises(ValueError):
-            win_prob_product_sum(seq, 1)
-        with pytest.raises(ValueError):
-            win_prob_odds_ratio(seq, 1)
-
-    def test_sure_success_window_raises_package_error(self):
-        seq = validate_probabilities([1.0, 0.5])
-        for form in (win_prob_product_sum, win_prob_odds_ratio):
-            with pytest.raises(InvalidArgument):
-                form(seq, 1)
 
     def test_window_index_checked(self):
         seq = validate_probabilities([0.5, 0.5])
         with pytest.raises(IndexOutOfRange):
-            win_prob_expanded(seq, 0)
+            win_probability(seq, ThresholdResult(s=0, R_s=2.0, boundary_flag=True))
         with pytest.raises(IndexOutOfRange):
-            win_prob_expanded(seq, 3)
+            win_probability(seq, ThresholdResult(s=3, R_s=0.0, boundary_flag=True))
+
+    def test_window_must_start_at_the_threshold(self):
+        # R_2 = 1 puts the threshold at 2, so s = 1 is not it
+        seq = validate_probabilities([0.5, 0.5])
+        with pytest.raises(InvalidArgument):
+            win_probability(seq, ThresholdResult(s=1, R_s=2.0, boundary_flag=True))
 
     def test_append_sure_failure_changes_nothing(self):
         base = [0.3, 0.6, 0.2, 0.05]
@@ -210,26 +202,12 @@ class TestWinProbability:
             assert t2.s == s
             assert win_probability(shuffled, t2).value == v
 
-    def test_product_sum_log_domain_path(self):
-        # 38 entries with q = 1e-8: the direct failure product bottoms out
-        # near 1e-304 (under the 1e-300 guard) while V ~ 3.8e-295 is still
-        # representable.  The exact rational value is the referee.
-        p = [1.0 - 1e-8] * 38
-        seq = validate_probabilities(p)
-        got = win_prob_product_sum(seq, 1)
-        want = float(exact_window_win(p, 1))
-        assert want > 0.0
-        assert got == pytest.approx(want, rel=1e-9)
-
-    def test_odds_ratio_overflow_path(self):
-        # odds near 9e15 each: the (1 + r) product overflows at 20 entries,
-        # forcing the log-domain route.
-        p = [1.0 - 1e-16] * 20
-        seq = validate_probabilities(p)
-        got = win_prob_odds_ratio(seq, 1)
-        want = float(exact_window_win(p, 1))
-        assert want > 0.0
-        assert got == pytest.approx(want, rel=1e-9)
+    def test_large_near_tie_matches_decimal_reference(self, large_near_tie):
+        # 99 918 equal factors 1 - p: the product must not repeat their
+        # rounding error (a product of rounded factors is off by 2e-12)
+        seq, s, want = large_near_tie
+        w = win_probability(seq, threshold(seq))
+        assert abs(w.value - want) <= 1e-15
 
 
 class TestSecretary:

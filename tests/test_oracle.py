@@ -129,6 +129,12 @@ class TestThresholdRule:
             assert abs(max(sweep) - v) <= 1e-12
             assert sweep[t.s - 1] >= max(sweep) - 1e-12
 
+    def test_large_near_tie_matches_decimal_reference(self, large_near_tie):
+        seq, s, want = large_near_tie
+        assert abs(dp_optimal_value(seq).value - want) <= 1e-13
+        assert abs(max(threshold_rule_values(seq)) - want) <= 1e-13
+        assert abs(threshold_rule_value(seq, s) - want) <= 1e-13
+
 
 class TestExhaustive:
     def test_four_outcomes_by_hand(self):
@@ -161,6 +167,16 @@ class TestExhaustive:
         for k in range(1, 5):
             want = float(exact_window_win(probs, k))
             assert exhaustive_value(seq, k) == pytest.approx(want, abs=1e-15)
+
+    def test_memory_at_the_size_cap(self):
+        seq = secretary_sequence(20)
+        tracemalloc.start()
+        try:
+            exhaustive_value(seq, threshold(seq).s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_size_cap(self):
         seq = validate_probabilities([0.5] * 21)

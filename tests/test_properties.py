@@ -22,9 +22,6 @@ from oddsrule import (
     upper_bound,
     upper_extremal,
     validate_probabilities,
-    win_prob_expanded,
-    win_prob_odds_ratio,
-    win_prob_product_sum,
     win_probability,
 )
 
@@ -108,10 +105,11 @@ def test_threshold_defining_inequalities(probs):
 @given(prob_lists)
 def test_three_value_forms_agree(probs):
     seq = validate_probabilities(probs)
-    s = threshold(seq).s
-    a = win_prob_expanded(seq, s)
-    b = win_prob_product_sum(seq, s)
-    c = win_prob_odds_ratio(seq, s)
+    t = threshold(seq)
+    w = win_probability(seq, t)
+    a = float(exact_window_win(probs, t.s))
+    b = w.value
+    c = w.product_form
     assert abs(a - b) <= 1e-12
     assert abs(a - c) <= 1e-12
     assert abs(b - c) <= 1e-12
