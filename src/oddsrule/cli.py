@@ -70,7 +70,12 @@ def _json_scalar(v) -> str:
 
 
 def render_json(doc, indent: int = 0) -> str:
-    """Deterministic JSON with .17g floats (json.dumps would use repr)."""
+    """Deterministic JSON with .17g floats (json.dumps would use repr).
+
+    Lists and tuples must hold floats: a bool, int, str or None element
+    raises.  Non-finite floats render as the strings "inf", "-inf" and
+    "nan".
+    """
     pad = "  " * indent
     if isinstance(doc, dict):
         if not doc:
@@ -83,8 +88,11 @@ def render_json(doc, indent: int = 0) -> str:
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
-        body = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in doc)
-        return "[\n" + body + "\n" + pad + "]"
+        # float.__format__ is the TypeError guard: it takes no bool or int
+        body = f",\n{pad}  ".join(
+            [float.__format__(v, ".17g") if math.isfinite(v) else f'"{v}"' for v in doc]
+        )
+        return f"[\n{pad}  {body}\n{pad}]"
     return _json_scalar(doc)
 
 
@@ -138,7 +146,7 @@ def _parse_file(path: str) -> list[float]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
     stripped = text.lstrip()
     try:

@@ -20,7 +20,9 @@ Python containers.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -142,15 +144,14 @@ def threshold(seq: OddsSequence) -> ThresholdResult:
     """Largest l with R_l >= 1, or 1 when no suffix sum reaches 1.
 
     The comparison is exact IEEE >=, no epsilon; ``boundary_flag`` is the
-    advertised sensitivity warning.
+    advertised sensitivity warning.  R does not increase with l, so s is
+    found by bisection, and the finite sums closest to 1 are R_s and
+    R_{s+1}: only those two decide the flag.
     """
-    s = 1
-    for l in range(seq.n, 0, -1):
-        if seq.R[l - 1] >= 1.0:
-            s = l
-            break
+    # R_1..R_m >= 1 > R_{m+1}..R_n; on -R that is a bisect_right for -1
+    s = max(1, bisect.bisect_right(seq.R, -1.0, key=operator.neg))
     boundary = any(
-        math.isfinite(x) and abs(x - 1.0) < BOUNDARY_EPS for x in seq.R
+        math.isfinite(x) and abs(x - 1.0) < BOUNDARY_EPS for x in seq.R[s - 1 : s + 1]
     )
     return ThresholdResult(s=s, R_s=seq.R[s - 1], boundary_flag=boundary)
 

@@ -8,6 +8,10 @@ evaluation in :mod:`oddsrule.core`:
 * exhaustive enumeration of the 2^n outcome vectors (small n),
 * a seeded Monte Carlo simulator that draws only the rule's window.
 
+Only the last two use numpy, and each imports it when called, so
+importing the package (or running a CLI command that needs neither)
+does not load numpy.
+
 The three recurrences (backward induction and both threshold-rule
 sweeps) never form 1 - p: each step adds a p-weighted difference, as in
 Q -= p * Q, so a long run of small p does not repeat the rounding of
@@ -18,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import OddsSequence
 from .errors import IndexOutOfRange, InvalidArgument, TooLarge
@@ -126,6 +128,8 @@ def exhaustive_value(seq: OddsSequence, k: int) -> float:
         raise TooLarge(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}, got {n}")
     if not 1 <= k <= n:
         raise IndexOutOfRange(k, n)
+    import numpy as np
+
     # Outcome i has I_j = bit j of i: each trial doubles both arrays, the
     # new upper half being the outcomes with I_j = 1.
     weights = np.ones(1)
@@ -153,6 +157,8 @@ def monte_carlo(
         raise IndexOutOfRange(k, seq.n)
     if trials < 1:
         raise InvalidArgument(f"need trials >= 1, got {trials}")
+    import numpy as np
+
     window = np.asarray(seq.p[k - 1 :])
     rows = max(1, MC_CHUNK // window.size)
     rng = np.random.default_rng(int(seed) % (1 << 64))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -139,6 +143,15 @@ class TestAnalyze:
     def test_missing_file_exits_2(self, runner, tmp_path):
         res = invoke(runner, "analyze", "--file", str(tmp_path / "nope.txt"))
         assert res.exit_code == 2
+
+    def test_file_not_utf8_exits_2(self, runner, tmp_path):
+        path = tmp_path / "probs.txt"
+        path.write_bytes(b"\xff\xfe0.5\n")
+        res = invoke(runner, "analyze", "--file", str(path))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"cannot read {path}" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_infinite_sums_render_as_strings(self, runner):
         res = invoke(runner, "analyze", "1,0.2", "--format", "json")
@@ -431,3 +444,37 @@ def test_extremal_keys_must_fit_the_family(runner, args):
     assert "Traceback" not in res.output
     if args[0] == "analyze":
         assert "bad extremal spec" in res.output
+
+
+NUMPY_PROBE = """
+import sys
+import oddsrule
+import oddsrule.cli
+from click.testing import CliRunner
+
+def run(*args):
+    res = CliRunner().invoke(oddsrule.cli.main, list(args), catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+
+run("analyze", "--format", "json", "0.5,0.5")
+run("sweep", "--n", "6", "--s", "1:3", "--rs", "0.5,1,2", "-o", "-")
+print("numpy" in sys.modules)
+run("oracle-check", "0.5,0.5")
+print("numpy" in sys.modules)
+"""
+
+
+def test_numpy_loaded_only_by_the_numpy_oracles():
+    """Importing the package and the CLI, analyze and sweep leave numpy
+    unloaded; oracle-check, which enumerates and simulates, loads it."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]

@@ -24,6 +24,7 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
+from oddsrule.core import BOUNDARY_EPS
 
 probabilities = st.floats(min_value=0.0, max_value=0.95, allow_nan=False)
 prob_lists = st.lists(probabilities, min_size=1, max_size=30)
@@ -100,6 +101,50 @@ def test_threshold_defining_inequalities(probs):
     if seq.R[0] < 1.0:
         assert t.s == 1
     assert t.s == exact_threshold(probs)
+
+
+def scan_threshold(seq):
+    """(s, R_s, boundary_flag) by a full scan of R, the reference for the
+    bisection in threshold()."""
+    s = 1
+    for l in range(seq.n, 0, -1):
+        if seq.R[l - 1] >= 1.0:
+            s = l
+            break
+    boundary = any(math.isfinite(x) and abs(x - 1.0) < BOUNDARY_EPS for x in seq.R)
+    return s, seq.R[s - 1], boundary
+
+
+# any head, then an equal window whose odds sum to within rounding of 1
+near_ties = st.builds(
+    lambda head, m, extra: head + [1 / (m + 1)] * (m + extra),
+    st.lists(wide_probabilities, max_size=5),
+    st.integers(min_value=1, max_value=400),
+    st.sampled_from([0, 1]),
+)
+
+
+@given(st.one_of(wide_prob_lists, near_ties))
+@example([1.0])
+@example([0.3, 1.0, 0.2, 1.0, 0.1])
+@example([0.0, 0.0, 0.0])
+@example([0.5, 0.5])
+@example([0.5, 0.49999999997])  # only R_{s+1} is within 1e-9 of 1
+@example([0.0, 0.3] + [1 / 9] * 8)
+@example([0.5] + [1 / 7] * 6)
+@example([5e-324, 1 - 2**-53, 2.2250738585072014e-308])
+def test_threshold_matches_linear_scan(probs):
+    seq = validate_probabilities(probs)
+    t = threshold(seq)
+    assert (t.s, t.R_s, t.boundary_flag) == scan_threshold(seq)
+
+
+def test_threshold_matches_linear_scan_on_near_tie_families():
+    for m in range(1, 400):
+        for probs in ([0.0, 0.3] + [1 / (m + 1)] * m, [0.5] + [1 / (m + 2)] * (m + 1)):
+            seq = validate_probabilities(probs)
+            t = threshold(seq)
+            assert (t.s, t.R_s, t.boundary_flag) == scan_threshold(seq), probs
 
 
 @given(prob_lists)
