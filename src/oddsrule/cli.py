@@ -154,7 +154,7 @@ def _parse_file(path: str) -> list[float]:
             doc = json.loads(text)
             return [float(x) for x in doc["p"]]
         return [float(line) for line in text.splitlines() if line.strip()]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise click.UsageError(f"cannot parse {path}: {exc}")
 
 

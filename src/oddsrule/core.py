@@ -24,12 +24,18 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
 from typing import Sequence
 
 from .errors import EmptySequence, IndexOutOfRange, InvalidArgument, NotANumber, OutOfRange
 
 # |R_l - 1| below this marks the threshold decision as numerically touchy.
 BOUNDARY_EPS = 1e-9
+
+# Sequences shorter than this keep the per-entry suffix-sum loop: there
+# the grid's fixed cost (the scan for p = 1, min, max, frexp) outweighs
+# what its C-level passes save.
+GRID_MIN_LEN = 11
 
 
 def prob_to_odds(p: float) -> float:
@@ -52,9 +58,28 @@ class OddsSequence:
 
     ``r[j]`` is the odds of entry ``j`` (+inf where p = 1) and ``R[l-1]``
     holds the suffix sum ``r_l + ... + r_n``: the exact sum of the stored
-    odds rounded once to nearest, +inf when a sure success lies at or
-    after ``l``.  Instances are immutable and safe to share between
-    threads; construct them via :func:`validate_probabilities`.
+    odds rounded once to nearest (half to even), +inf when a sure success
+    lies at or after ``l``.
+
+    The finite sums are exact integer sums on one binary grid when the
+    finite odds allow it.  Let ``e_min`` and ``e_max`` be the
+    ``math.frexp`` exponents of the smallest nonzero and the largest
+    finite odds, and ``K = 53 - e_min``:
+
+    * if ``e_min >= -1021`` no odds is subnormal, so each is a multiple of
+      ``2**(e_min - 53)`` and ``int(ldexp(x, K))`` is exact;
+    * if also ``e_max - e_min + L.bit_length() <= 970`` for the ``L``
+      finite entries, every scaled odds and every running total is below
+      ``2**1023``;
+    * then ``ldexp(float(total), -K)`` is the correctly rounded
+      ``total / 2**K``: ``float(int)`` rounds half to even, and scaling a
+      normal result by a power of two is exact.
+
+    Other inputs, and sequences shorter than ``GRID_MIN_LEN``, take a
+    per-entry loop that keeps the sum in units of the largest denominator
+    seen so far; both give the same bits.  Instances are immutable and
+    safe to share between threads; construct them via
+    :func:`validate_probabilities`.
     """
 
     p: tuple[float, ...]
@@ -94,16 +119,47 @@ class WinProbability:
     product_form: float | None
 
 
-def _suffix_odds_sums(odds: Sequence[float]) -> list[float]:
+def _suffix_odds_sums(odds: tuple[float, ...]) -> list[float]:
     # Right-to-left exact summation, so every stored suffix sum is the true
-    # sum rounded once.  A finite double is m / d with d a power of two, so
-    # the running sum is the exact integer ``total`` in units of 1/D, D the
-    # largest d seen so far; a larger d rescales ``total`` by a shift, and
-    # int / int true division rounds correctly.  The threshold comparison
-    # R_l >= 1 is taken on these correctly rounded values; an ordinary
-    # running sum can land on the wrong side of 1.  Odds are >= 0, so the
-    # only non-finite value is a sure success's +inf, which makes its own
-    # and every earlier suffix sum inf.
+    # sum rounded once.  The threshold comparison R_l >= 1 is taken on these
+    # correctly rounded values; an ordinary running sum can land on the
+    # wrong side of 1.  Odds are >= 0, so the only non-finite value is a
+    # sure success's +inf, which makes its own and every earlier suffix sum
+    # inf.  The finite tail after the last sure success is summed on one
+    # binary grid when the guard in _grid_suffix_sums holds (derivation in
+    # the OddsSequence docstring), and by the per-entry loop otherwise.
+    if len(odds) >= GRID_MIN_LEN:
+        stop = len(odds) - odds[::-1].index(math.inf) if math.inf in odds else 0
+        sums = _grid_suffix_sums(odds, stop)
+        if sums is not None:
+            sums[:0] = [math.inf] * stop
+            return sums
+    return _loop_suffix_sums(odds)
+
+
+def _grid_suffix_sums(odds: tuple[float, ...], stop: int) -> list[float] | None:
+    # Suffix sums of the finite tail odds[stop:] as exact integers in units
+    # of 2**-K, in C-level passes; None when a subnormal or too wide a
+    # range of odds puts the tail outside the guard.  The tail is read in
+    # place and the running totals are streamed: a list of them would hold
+    # n big ints at once.
+    size = len(odds) - stop
+    e_min = math.frexp(min(filter(None, islice(odds, stop, None)), default=0.0))[1]
+    e_max = math.frexp(max(islice(odds, stop, None), default=0.0))[1]
+    if e_min < -1021 or e_max - e_min + size.bit_length() > 970:
+        return None
+    K = 53 - e_min
+    scaled = map(int, map(math.ldexp, islice(reversed(odds), size), repeat(K)))
+    sums = list(map(math.ldexp, map(float, accumulate(scaled)), repeat(-K)))
+    sums.reverse()
+    return sums
+
+
+def _loop_suffix_sums(odds: tuple[float, ...]) -> list[float]:
+    # A finite double is m / d with d a power of two, so the running sum is
+    # the exact integer ``total`` in units of 1/D, D the largest d seen so
+    # far; a larger d rescales ``total`` by a shift, and int / int true
+    # division rounds correctly.
     sums = [math.inf] * len(odds)
     total, D, k = 0, 1, 1  # k = D.bit_length()
     for j in range(len(odds) - 1, -1, -1):
@@ -126,18 +182,21 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
     Raises EmptySequence for n = 0, NotANumber / OutOfRange (with the
     offending 1-based index) for bad entries.
     """
-    probs = [float(x) for x in p]
+    probs = tuple(map(float, p))
     if not probs:
         raise EmptySequence("need at least one probability")
-    for i, x in enumerate(probs, start=1):
-        if math.isnan(x) or math.isinf(x):
-            raise NotANumber(i, x)
+    for x in probs:
         if not 0.0 <= x <= 1.0:
-            raise OutOfRange(i, x)
-    odds = [prob_to_odds(x) for x in probs]
-    return OddsSequence(
-        p=tuple(probs), r=tuple(odds), R=tuple(_suffix_odds_sums(odds))
-    )
+            # x is the first entry to fail; the entries before it lie in
+            # [0, 1], so none equals x, and index() (identity first) finds
+            # x itself even when it is a NaN
+            i = probs.index(x) + 1
+            raise (NotANumber if math.isnan(x) or math.isinf(x) else OutOfRange)(i, x)
+    # prob_to_odds inlined: a call per entry costs more than the division.
+    # p and r are built as tuples and the lists freed at once, so no list
+    # copy of them is alive while R is built.
+    odds = tuple([x / (1.0 - x) if x < 1.0 else math.inf for x in probs])
+    return OddsSequence(p=probs, r=odds, R=tuple(_suffix_odds_sums(odds)))
 
 
 def threshold(seq: OddsSequence) -> ThresholdResult:

@@ -46,6 +46,21 @@ def decimal_window_win(probs, k: int) -> Decimal:
         return one
 
 
+def exact_suffix_sums(odds) -> list[float]:
+    """Each suffix sum of the stored odds, summed as a Fraction and rounded
+    once by float(); inf from a sure success on."""
+    out = []
+    exact = Fraction(0)
+    sure = False
+    for x in reversed(odds):
+        sure = sure or x == float("inf")
+        if not sure:
+            exact += Fraction(x)
+        out.append(float("inf") if sure else float(exact))
+    out.reverse()
+    return out
+
+
 def exact_threshold(probs) -> int:
     """Largest l whose exact suffix odds sum reaches 1, else 1."""
     total = Fraction(0)

@@ -153,6 +153,15 @@ class TestAnalyze:
         assert f"cannot read {path}" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_file_integer_beyond_float_range_exits_2(self, runner, tmp_path):
+        path = tmp_path / "probs.json"
+        path.write_text('{"p": [0.5, 1' + "0" * 399 + "]}")
+        res = invoke(runner, "analyze", "--file", str(path))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"cannot parse {path}" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_infinite_sums_render_as_strings(self, runner):
         res = invoke(runner, "analyze", "1,0.2", "--format", "json")
         assert res.exit_code == 0

@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, example, given, settings
 
-from exact_oracle import exact_threshold, exact_window_win
+from exact_oracle import exact_suffix_sums, exact_threshold, exact_window_win
 from oddsrule import (
     bound_report,
     dp_optimal_value,
@@ -24,7 +25,8 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
-from oddsrule.core import BOUNDARY_EPS
+from oddsrule import core
+from oddsrule.core import BOUNDARY_EPS, GRID_MIN_LEN
 
 probabilities = st.floats(min_value=0.0, max_value=0.95, allow_nan=False)
 prob_lists = st.lists(probabilities, min_size=1, max_size=30)
@@ -34,6 +36,34 @@ wide_probabilities = st.one_of(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), st.just(1.0)
 )
 wide_prob_lists = st.lists(wide_probabilities, min_size=1, max_size=30)
+
+# the inputs the exact grid of core._grid_suffix_sums takes: at least
+# GRID_MIN_LEN entries, no subnormal, exponents within about 2**40 of one
+# another, with zeros, -0.0 and sure successes mixed in
+grid_prob_lists = st.builds(
+    lambda scale, xs: [x if x in (0.0, 1.0) else math.ldexp(x, scale) for x in xs],
+    st.integers(min_value=-980, max_value=0),
+    st.lists(
+        st.one_of(
+            st.floats(min_value=2.0**-40, max_value=1.0, exclude_max=True),
+            st.sampled_from([0.0, -0.0, 1.0]),
+        ),
+        min_size=GRID_MIN_LEN,
+        max_size=60,
+    ),
+)
+
+# (probs, summed on the grid) on both sides of each routing condition:
+# the length cutoff, e_min = -1021 (smallest normal) against -1022, and
+# e_max - e_min + L.bit_length() at 970 against 971 (here L = 12)
+ROUTING_EDGES = [
+    ([1 / (j + 2) for j in range(GRID_MIN_LEN - 1)], False),
+    ([1 / (j + 2) for j in range(GRID_MIN_LEN)], True),
+    ([2.0**-1022] + [2.0**-990 * (1 + j / 7) for j in range(GRID_MIN_LEN)], True),
+    ([2.0**-1023] + [2.0**-990 * (1 + j / 7) for j in range(GRID_MIN_LEN)], False),
+    ([2.0**-966] + [0.6 - j / 100 for j in range(11)], True),
+    ([2.0**-967] + [0.6 - j / 100 for j in range(11)], False),
+]
 
 
 @given(wide_prob_lists)
@@ -52,7 +82,21 @@ def test_suffix_sums_monotone_and_recursive(probs):
             assert abs(seq.R[l] - expect) <= 4 * math.ulp(max(1.0, expect))
 
 
-@given(wide_prob_lists)
+@settings(max_examples=200)
+@given(st.one_of(wide_prob_lists, grid_prob_lists))
+@example(ROUTING_EDGES[0][0])
+@example(ROUTING_EDGES[1][0])
+@example(ROUTING_EDGES[2][0])
+@example(ROUTING_EDGES[3][0])
+@example(ROUTING_EDGES[4][0])
+@example(ROUTING_EDGES[5][0])
+# -0.0 and p = 1 as the first, a middle and the last entry of grid-length
+# inputs, and a tail of zeros after a sure success
+@example([-0.0, 0.25] * GRID_MIN_LEN + [-0.0])
+@example([1.0] + [1 / (j + 3) for j in range(GRID_MIN_LEN)])
+@example([1 / (j + 3) for j in range(GRID_MIN_LEN)] + [1.0] + [0.1, 1e-9, 1 - 2**-53] * 4)
+@example([1 / (j + 3) for j in range(GRID_MIN_LEN)] + [1.0])
+@example([0.4, 1.0] + [0.0, -0.0] * GRID_MIN_LEN)
 # both near-tie families [0.5] + [1/(m+2)]*(m+1) and [0, 0.3] + [1/(m+1)]*m
 @example([0.5] + [1 / 7] * 6)
 @example([0.5] + [1 / 1001] * 1000)
@@ -75,6 +119,27 @@ def test_suffix_sums_correctly_rounded(probs):
             # float(sum(map(Fraction, seq.r[l:]))), accumulated suffix-wise
             exact += Fraction(seq.r[l])
             assert seq.R[l].hex() == float(exact).hex()
+
+
+@pytest.mark.parametrize("probs, grid", ROUTING_EDGES)
+def test_suffix_sums_routing(probs, grid, monkeypatch):
+    taken = []
+
+    def spy(odds, stop):
+        sums = real(odds, stop)
+        taken.append(sums is not None)
+        return sums
+
+    real = core._grid_suffix_sums
+    monkeypatch.setattr(core, "_grid_suffix_sums", spy)
+    seq = validate_probabilities(probs)
+    assert any(taken) == grid
+    assert [x.hex() for x in seq.R] == [x.hex() for x in exact_suffix_sums(seq.r)]
+
+
+def test_large_near_tie_suffix_sums_correctly_rounded(large_near_tie):
+    seq, _, _ = large_near_tie
+    assert [x.hex() for x in seq.R] == [x.hex() for x in exact_suffix_sums(seq.r)]
 
 
 @given(wide_prob_lists)
