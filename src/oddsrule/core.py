@@ -180,9 +180,22 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
     """Check p_1..p_n and materialize odds and suffix odds sums.
 
     Raises EmptySequence for n = 0, NotANumber / OutOfRange (with the
-    offending 1-based index) for bad entries.
+    offending 1-based index) for bad entries, including entries float()
+    rejects: OutOfRange for a number beyond float range such as 10**400,
+    NotANumber for anything else (None, a complex, a non-numeric string).
     """
-    probs = tuple(map(float, p))
+    try:
+        probs = tuple(map(float, p))
+    except (OverflowError, TypeError, ValueError):
+        # p is a sequence, so it can be walked again to find that entry
+        for i, x in enumerate(p, 1):
+            try:
+                float(x)
+            except OverflowError:
+                raise OutOfRange(i, x) from None
+            except (TypeError, ValueError):
+                raise NotANumber(i, x) from None
+        raise
     if not probs:
         raise EmptySequence("need at least one probability")
     for x in probs:

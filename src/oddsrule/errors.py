@@ -15,7 +15,11 @@ class OutOfRange(OddsRuleError):
     def __init__(self, index: int, value: float):
         self.index = index
         self.value = value
-        super().__init__(f"p_{index} = {value!r} is outside [0, 1]")
+        try:
+            shown = repr(value)
+        except ValueError:  # an int longer than the interpreter prints
+            shown = f"an integer of {value.bit_length()} bits"
+        super().__init__(f"p_{index} = {shown} is outside [0, 1]")
 
 
 class NotANumber(OddsRuleError):

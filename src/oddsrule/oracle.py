@@ -5,8 +5,10 @@ evaluation in :mod:`oddsrule.core`:
 
 * exact backward induction over *all* adapted stopping rules,
 * the exact value of every fixed threshold rule,
-* exhaustive enumeration of the 2^n outcome vectors (small n),
-* a seeded Monte Carlo simulator that draws only the rule's window.
+* exhaustive enumeration of the outcome vectors the rule wins on
+  (n <= 20),
+* a seeded Monte Carlo simulator that draws only the rule's window,
+  into two buffers it reuses.
 
 Only the last two use numpy, and each imports it when called, so
 importing the package (or running a CLI command that needs neither)
@@ -20,6 +22,7 @@ Q -= p * Q, so a long run of small p does not repeat the rounding of
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +31,7 @@ from .errors import IndexOutOfRange, InvalidArgument, TooLarge
 
 EXHAUSTIVE_MAX_N = 20
 MC_CHUNK = 1 << 18  # uniforms per Monte Carlo draw
+_FSUM_SLICE = 1 << 12  # weights per tolist() fed to fsum
 
 
 @dataclass(frozen=True)
@@ -115,13 +119,18 @@ def threshold_rule_values(seq: OddsSequence) -> tuple[float, ...]:
 
 def exhaustive_value(seq: OddsSequence, k: int) -> float:
     """Ground-truth win probability of the threshold-k rule by weighting
-    all 2^n outcome vectors.
+    the 2^n outcome vectors.
 
-    Each outcome gets probability prod p_j^{I_j} (1-p_j)^{1-I_j}.  The
-    rule stops at the first success at or after k and wins when no
-    success follows, that is, exactly when the window [k, n] holds one
-    success; the weights of those outcomes are summed exactly.  Capped
-    at n = 20, about a million outcomes.
+    Each outcome gets probability prod p_j^{I_j} (1-p_j)^{1-I_j}, the
+    product taken left to right in trial order.  The rule stops at the
+    first success at or after k and wins when no success follows, that
+    is, exactly when the window [k, n] holds one success, so only those
+    outcomes are enumerated: all 2^(k-1) prefixes, each extended by the
+    n-k+1 ways to place the window's one success.  Their weights are
+    summed by one math.fsum, which is correctly rounded whatever the
+    order, so the result has the bits of summing the winning weights of
+    the full enumeration.  Capped at n = 20; the scratch memory is the
+    2^(k-1) * (n-k+2) <= 2^20 doubles of two arrays filled in place.
     """
     n = seq.n
     if n > EXHAUSTIVE_MAX_N:
@@ -130,14 +139,27 @@ def exhaustive_value(seq: OddsSequence, k: int) -> float:
         raise IndexOutOfRange(k, n)
     import numpy as np
 
-    # Outcome i has I_j = bit j of i: each trial doubles both arrays, the
-    # new upper half being the outcomes with I_j = 1.
-    weights = np.ones(1)
-    successes = np.zeros(1, dtype=np.int8)  # in the window [k, n]
-    for j, p_j in enumerate(seq.p):
-        weights = np.concatenate((weights * (1.0 - p_j), weights * p_j))
-        successes = np.concatenate((successes, successes + (j >= k - 1)))
-    return math.fsum(weights[successes == 1].tolist())
+    # Prefix outcome i has I_j = bit j of i: each trial doubles the
+    # filled part in place, the new upper half being the outcomes with
+    # I_j = 1 (written first, from the lower half before it is scaled).
+    m = 1 << (k - 1)
+    none = np.empty(m)
+    none[0] = 1.0
+    for j, p_j in enumerate(seq.p[: k - 1]):
+        h = 1 << j
+        np.multiply(none[:h], p_j, out=none[h : 2 * h])
+        none[:h] *= 1.0 - p_j
+    # In the window, none holds the weights with no success so far and
+    # one, in blocks of m, those with exactly one: block t has its
+    # success at trial k + t.  Outcomes with two are never formed.
+    one = np.empty(m * (n - k + 1))
+    for t, p_j in enumerate(seq.p[k - 1 :]):
+        one[: t * m] *= 1.0 - p_j
+        np.multiply(none, p_j, out=one[t * m : (t + 1) * m])
+        none *= 1.0 - p_j
+    # tolist() in slices, so no Python list of all the weights exists
+    slices = (one[i : i + _FSUM_SLICE].tolist() for i in range(0, one.size, _FSUM_SLICE))
+    return math.fsum(itertools.chain.from_iterable(slices))
 
 
 def monte_carlo(
@@ -148,10 +170,11 @@ def monte_carlo(
     A trial is a win when its window [k, n] holds exactly one success,
     so only the window columns p_k..p_n are drawn.  One generator,
     default_rng(seed mod 2^64), fills the trials row by row; it is drawn
-    in blocks of about MC_CHUNK uniforms, which bounds memory and does
-    not change the numbers.  The report is therefore a function of
-    (seed, trials, p_k..p_n) alone.  Raises InvalidArgument when
-    trials < 1.
+    in blocks of about MC_CHUNK uniforms (never more rows than trials),
+    into one draw buffer and one hit buffer allocated once, which bounds
+    memory and does not change the numbers.  The report is therefore a
+    function of (seed, trials, p_k..p_n) alone.  Raises InvalidArgument
+    when trials < 1.
     """
     if not 1 <= k <= seq.n:
         raise IndexOutOfRange(k, seq.n)
@@ -160,12 +183,19 @@ def monte_carlo(
     import numpy as np
 
     window = np.asarray(seq.p[k - 1 :])
-    rows = max(1, MC_CHUNK // window.size)
+    rows = min(max(1, MC_CHUNK // window.size), trials)
+    draws = np.empty((rows, window.size))
+    hits = np.empty(draws.shape, dtype=bool)
+    # the smallest unsigned type that holds the window width counts each
+    # row's hits exactly, at one byte a row for windows below 256
+    count_type = np.min_scalar_type(window.size)
     rng = np.random.default_rng(int(seed) % (1 << 64))
     wins = 0
     for start in range(0, trials, rows):
-        hits = rng.random((min(rows, trials - start), window.size)) < window
-        wins += int((hits.sum(axis=1) == 1).sum())
+        m = min(rows, trials - start)
+        rng.random(out=draws[:m])
+        np.less(draws[:m], window, out=hits[:m])
+        wins += int((hits[:m].sum(axis=1, dtype=count_type) == 1).sum())
     estimate = wins / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return SimulationReport(

@@ -1,15 +1,20 @@
-"""Exact rational reference computations for freezing expected values.
+"""Reference computations for freezing expected values.
 
-Everything here runs on the exact binary values of the input floats, in
-fractions.Fraction arithmetic or, where n is too large for Fractions, in
-60-digit decimal arithmetic; none of it shares code (or rounding
-behaviour) with the library's floating-point paths.
+Everything here but full_enumeration_value runs on the exact binary
+values of the input floats, in fractions.Fraction arithmetic or, where n
+is too large for Fractions, in 60-digit decimal arithmetic; none of it
+shares code (or rounding behaviour) with the library's floating-point
+paths.  full_enumeration_value is the float reference for the bits of
+oracle.exhaustive_value.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+
+import numpy as np
 
 
 def exact_window_win(probs, k: int) -> Fraction:
@@ -79,3 +84,20 @@ def exact_threshold(probs) -> int:
 def exact_win(probs) -> Fraction:
     """Exact success probability of the odds rule."""
     return exact_window_win(probs, exact_threshold(probs))
+
+
+def full_enumeration_value(seq, k: int) -> float:
+    """Win probability of the threshold-k rule from all 2^n outcome weights.
+
+    Outcome i has I_j = bit j of i and weight prod p_j^{I_j} (1-p_j)^{1-I_j},
+    multiplied left to right; the weights of the outcomes whose window
+    [k, n] holds exactly one success are summed by math.fsum.  It forms
+    every weight and a Python list of the winning half, so it is meant
+    for n <= 20.
+    """
+    weights = np.ones(1)
+    successes = np.zeros(1, dtype=np.int8)  # in the window [k, n]
+    for j, p_j in enumerate(seq.p):
+        weights = np.concatenate((weights * (1.0 - p_j), weights * p_j))
+        successes = np.concatenate((successes, successes + (j >= k - 1)))
+    return math.fsum(weights[successes == 1].tolist())

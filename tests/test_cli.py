@@ -487,3 +487,25 @@ def test_numpy_loaded_only_by_the_numpy_oracles():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False", "True"]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+S_EQUALS_N_20 = ",".join([repr(j / 40) for j in range(1, 20)] + ["0.75"])
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("oracle_check_secretary_20.json", ["oracle-check", "--format", "json", "--secretary", "20"]),
+        ("oracle_check_s_equals_n_20.json", ["oracle-check", "--format", "json", S_EQUALS_N_20]),
+        (
+            "simulate_secretary_300.json",
+            ["simulate", "--format", "json", "--secretary", "300", "--trials", "20000"],
+        ),
+    ],
+)
+def test_stdout_matches_golden_file(runner, name, args):
+    """The exhaustive and Monte Carlo outputs, byte for byte as frozen."""
+    res = invoke(runner, *args)
+    assert res.exit_code == 0
+    assert res.stdout == (GOLDEN / name).read_text()

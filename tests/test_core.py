@@ -48,6 +48,21 @@ class TestValidate:
         with pytest.raises(NotANumber):
             validate_probabilities([math.inf])
 
+    def test_integer_beyond_float_range_is_out_of_range(self):
+        with pytest.raises(OutOfRange) as err:
+            validate_probabilities([0.5, 10**400])
+        assert (err.value.index, err.value.value) == (2, 10**400)
+        # past the interpreter's 4300-digit str() limit the message gives bits
+        with pytest.raises(OutOfRange, match="an integer of 16610 bits"):
+            validate_probabilities([10**5000])
+
+    @pytest.mark.parametrize("bad", [None, 0.5j, "half"], ids=["None", "complex", "text"])
+    def test_entry_float_rejects_is_not_a_number(self, bad):
+        with pytest.raises(NotANumber) as err:
+            validate_probabilities([0.5, 0.25, bad, 10**400])
+        assert err.value.index == 3
+        assert err.value.value is bad
+
     def test_suffix_sums_nonincreasing(self):
         seq = validate_probabilities([0.1, 0.9, 0.0, 0.4, 0.4])
         for a, b in zip(seq.R, seq.R[1:]):

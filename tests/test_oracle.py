@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from exact_oracle import exact_window_win
+from exact_oracle import exact_window_win, full_enumeration_value
 from oddsrule import (
     IndexOutOfRange,
     InvalidArgument,
@@ -21,6 +21,17 @@ from oddsrule import (
 )
 from oddsrule import oracle
 from oddsrule.oracle import MC_CHUNK
+
+
+# the oracle-check families at n = 20, and a sequence whose threshold is n
+ORACLE_FAMILIES_20 = {
+    "uniform": np.random.default_rng(20).random(20).tolist(),
+    "secretary": [1 / j for j in range(1, 21)],
+    "small_p": np.random.default_rng(21).beta(1.0, 10.0, 20).tolist(),
+    "near_tie_a": [0.5] + [1 / 20] * 19,
+    "near_tie_b": [0.0, 0.3] + [1 / 19] * 18,
+    "s_equals_n": [j / 40 for j in range(1, 20)] + [0.75],
+}
 
 
 class TestDP:
@@ -178,6 +189,35 @@ class TestExhaustive:
             tracemalloc.stop()
         assert peak < 24 * 2**20
 
+    @pytest.mark.parametrize("family", list(ORACLE_FAMILIES_20))
+    def test_bits_match_full_enumeration_at_the_size_cap(self, family):
+        seq = validate_probabilities(ORACLE_FAMILIES_20[family])
+        for k in sorted({1, threshold(seq).s, seq.n}):
+            assert exhaustive_value(seq, k).hex() == full_enumeration_value(seq, k).hex()
+
+    def test_memory_worst_case_window(self):
+        # k = n = 20: all 2^19 prefixes, each with its one window success
+        seq = validate_probabilities(ORACLE_FAMILIES_20["s_equals_n"])
+        assert threshold(seq).s == 20
+        tracemalloc.start()
+        try:
+            exhaustive_value(seq, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_memory_widest_window(self):
+        # k = 1: no prefix, and one outcome per place of the one success
+        seq = secretary_sequence(20)
+        tracemalloc.start()
+        try:
+            exhaustive_value(seq, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_size_cap(self):
         seq = validate_probabilities([0.5] * 21)
         with pytest.raises(TooLarge):
@@ -225,6 +265,13 @@ class TestMonteCarlo:
         assert rep.estimate == 0.0
         assert rep.std_error == 0.0
 
+    @pytest.mark.parametrize("width", [255, 256, 257, 513])
+    def test_sure_successes_never_win(self, width):
+        # with p = 1 throughout, every row of the window has width hits,
+        # never one; a hit count kept modulo 256 would read 1 at 257 and 513
+        rep = monte_carlo(validate_probabilities([1.0] * width), 1, 100, seed=3)
+        assert rep.wins == 0
+
     def test_sure_success_sampling(self):
         # lone p = 1 at the threshold: the rule always stops there and
         # wins unless a later trial succeeds
@@ -262,6 +309,21 @@ class TestMonteCarlo:
         for seed in (0, 3, -1):
             behind_prefix = monte_carlo(validate_probabilities([0.3, 0.9] + w), 3, 20_000, seed)
             assert behind_prefix == monte_carlo(validate_probabilities(w), 1, 20_000, seed)
+
+    def test_memory_bounded_by_trials(self, monkeypatch):
+        # a block of MC_CHUNK = 2^30 uniforms would take 8 GiB; the buffers
+        # hold no more rows than there are trials
+        monkeypatch.setattr(oracle, "MC_CHUNK", 1 << 30)
+        seq = secretary_sequence(1000)
+        s = threshold(seq).s
+        trials = 1_000
+        tracemalloc.start()
+        try:
+            monte_carlo(seq, s, trials, seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * trials * (seq.n - s + 1)
 
     def test_memory_bounded_by_chunk(self):
         seq = secretary_sequence(10_000)

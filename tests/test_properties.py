@@ -7,7 +7,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given, settings
 
-from exact_oracle import exact_suffix_sums, exact_threshold, exact_window_win
+from exact_oracle import (
+    exact_suffix_sums,
+    exact_threshold,
+    exact_window_win,
+    full_enumeration_value,
+)
 from oddsrule import (
     bound_report,
     dp_optimal_value,
@@ -284,6 +289,25 @@ def test_exhaustive_matches_rule_value(probs, data):
     seq = validate_probabilities(probs)
     k = data.draw(st.integers(min_value=1, max_value=seq.n))
     assert abs(exhaustive_value(seq, k) - threshold_rule_value(seq, k)) <= 1e-12
+
+
+# (probs, k) with n <= 12 and signed zeros and sure successes mixed in
+enumerable_rules = st.lists(
+    st.one_of(wide_probabilities, st.sampled_from([0.0, -0.0, 1.0])),
+    min_size=1,
+    max_size=12,
+).flatmap(lambda probs: st.tuples(st.just(probs), st.integers(1, len(probs))))
+
+
+@given(enumerable_rules)
+@example(([0.3, 0.6, 0.1, 0.45], 1))
+@example(([0.3, 0.6, 0.1, 0.45], 4))
+@example(([0.4], 1))
+@example(([-0.0, 1.0, 0.5, 0.0, 1.0], 2))
+def test_exhaustive_bits_match_full_enumeration(rule):
+    probs, k = rule
+    seq = validate_probabilities(probs)
+    assert exhaustive_value(seq, k).hex() == full_enumeration_value(seq, k).hex()
 
 
 @given(prob_lists)
