@@ -3,25 +3,21 @@
 The odds rule, the exact success probability of stopping on the last
 success, sharp upper/lower bounds with their attaining configurations,
 and a set of independent verification oracles (dynamic programming,
-exhaustive enumeration, Monte Carlo).
+Lindley's threshold, exhaustive enumeration, Monte Carlo).
 """
 
 from .bounds import (
     BoundReport,
     LowerBound,
-    PriorBounds,
     bound_report,
     corollary_bound,
-    log_product_gap,
     lower_bound,
-    prior_bounds,
     upper_bound,
 )
 from .core import (
     OddsSequence,
     ThresholdResult,
     WinProbability,
-    lindley_threshold,
     odds_to_prob,
     prob_to_odds,
     secretary_sequence,
@@ -35,7 +31,6 @@ from .errors import (
     IndexOutOfRange,
     InternalBoundViolation,
     InvalidArgument,
-    NegativeInput,
     NotANumber,
     OddsRuleError,
     OutOfRange,
@@ -44,7 +39,6 @@ from .errors import (
 from .extremal import (
     ExtremalConfig,
     GenerationParameters,
-    equal_odds_sequence,
     lower_extremal_case1,
     lower_extremal_case2,
     lower_near_extremal_case3,
@@ -55,6 +49,7 @@ from .oracle import (
     SimulationReport,
     dp_optimal_value,
     exhaustive_value,
+    lindley_threshold,
     monte_carlo,
     threshold_rule_value,
     threshold_rule_values,
@@ -73,12 +68,10 @@ __all__ = [
     "InternalBoundViolation",
     "InvalidArgument",
     "LowerBound",
-    "NegativeInput",
     "NotANumber",
     "OddsRuleError",
     "OddsSequence",
     "OutOfRange",
-    "PriorBounds",
     "SimulationReport",
     "ThresholdResult",
     "TooLarge",
@@ -86,17 +79,14 @@ __all__ = [
     "bound_report",
     "corollary_bound",
     "dp_optimal_value",
-    "equal_odds_sequence",
     "exhaustive_value",
     "lindley_threshold",
-    "log_product_gap",
     "lower_bound",
     "lower_extremal_case1",
     "lower_extremal_case2",
     "lower_near_extremal_case3",
     "monte_carlo",
     "odds_to_prob",
-    "prior_bounds",
     "prob_to_odds",
     "secretary_sequence",
     "threshold",

@@ -13,8 +13,10 @@ and a lower bound that depends on where R_s falls:
 
 Every bound is attained (cases 1-2 and the upper bound exactly, case 3 in
 the limit); see :mod:`oddsrule.extremal` for the attaining sequences.
-Two older sum-free bounds are provided for comparison: V_n > 1/e and
-V_n >= (1 - 1/(n+1))^n, both valid once the full odds sum reaches 1.
+:func:`bound_report` also reports two older sum-free bounds for
+comparison: V_n > 1/e and V_n >= (1 - 1/(n+1))^n (equality at constant
+p_j = 1/(n+1), the Allaart-Islas configuration), both valid once the
+full odds sum reaches 1.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import OddsSequence, ThresholdResult, odds_to_prob, threshold, win_probability
-from .errors import InconsistentInput, InternalBoundViolation, NegativeInput, NotANumber
+from .errors import InconsistentInput, InternalBoundViolation
 
 # Slack for "bound satisfied" checks and tolerance for equality detection.
 # Exact-equality configurations round to either side of their bound by a
@@ -92,52 +94,6 @@ def corollary_bound(n: int, s: int) -> float:
     return _compound_decay(n - s + 1)
 
 
-class PriorBounds(NamedTuple):
-    e_applicable: bool
-    e_value: float
-    ai_value: float
-
-
-def prior_bounds(seq: OddsSequence) -> PriorBounds:
-    """The two classical sum-free lower bounds.
-
-    Both require R_1 >= 1: V_n > 1/e, and the sharp
-    V_n >= (1 - 1/(n+1))^n (equality at constant p_j = 1/(n+1), the
-    Allaart-Islas configuration).
-    """
-    n = seq.n
-    ai = math.exp(n * math.log1p(-1.0 / (n + 1)))
-    return PriorBounds(
-        e_applicable=seq.R[0] >= 1.0, e_value=E_BOUND, ai_value=ai
-    )
-
-
-def log_product_gap(xs) -> float:
-    """sum_j ln(1 + x_j) - ln(1 + sum_j x_j), nonnegative for x_j >= 0.
-
-    Zero exactly when at most one coordinate is nonzero.  Computed as
-    log1p(u / (1 + S)) where u = prod(1+x_j) - 1 - S accumulates only
-    nonnegative increments, so the result can never round below 0 (the
-    naive difference of two logs can, when the true gap is below 1e-16).
-    """
-    values = [float(x) for x in xs]
-    for i, x in enumerate(values, start=1):
-        if math.isnan(x) or math.isinf(x):
-            raise NotANumber(i, x)
-        if x < 0.0:
-            raise NegativeInput(f"need nonnegative entries, got {x!r}")
-    total = math.fsum(values)
-    prodm1 = 0.0  # prod(1+x) - 1 over the processed prefix
-    u = 0.0       # prodm1 - (running sum): the second-and-higher order mass
-    for x in values:
-        u += prodm1 * x
-        prodm1 += x + prodm1 * x
-        if math.isinf(prodm1):
-            # Astronomic gap: the direct formula is safe out here.
-            return math.fsum(math.log1p(v) for v in values) - math.log1p(total)
-    return math.log1p(u / (1.0 + total))
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """All applicable bounds for one sequence, with satisfaction and
@@ -177,35 +133,30 @@ def bound_report(seq: OddsSequence) -> BoundReport:
     up = upper_bound(t)
     low = lower_bound(seq.n, t.s, t.R_s)
     cor = corollary_bound(seq.n, t.s)
-    prior = prior_bounds(seq)
-
-    satisfied = {
-        "upper": v <= up + EQUALITY_TOL,
-        "lower": v >= low.value - EQUALITY_TOL,
-    }
-    equality = {
-        "upper": abs(v - up) <= EQUALITY_TOL,
-        "lower": abs(v - low.value) <= EQUALITY_TOL,
-    }
     corollary_applicable = t.s >= 2
-    if corollary_applicable:
-        satisfied["corollary"] = v >= cor - EQUALITY_TOL
-        equality["corollary"] = abs(v - cor) <= EQUALITY_TOL
-    if prior.e_applicable:
-        satisfied["one_over_e"] = v >= prior.e_value - EQUALITY_TOL
-        satisfied["allaart_islas"] = v >= prior.ai_value - EQUALITY_TOL
-        equality["allaart_islas"] = abs(v - prior.ai_value) <= EQUALITY_TOL
+    e_bound_applicable = seq.R[0] >= 1.0
+    allaart_islas = math.exp(seq.n * math.log1p(-1.0 / (seq.n + 1)))
 
-    values = {
-        "upper": up,
-        "lower": low.value,
-        "corollary": cor,
-        "one_over_e": prior.e_value,
-        "allaart_islas": prior.ai_value,
-    }
-    for bound_id, ok in satisfied.items():
+    # One row per bound, in report order: (bound id, value, applies).
+    # Only the upper bound holds V_n from above, and V_n > 1/e is never
+    # attained, so one_over_e gets no equality flag.
+    table = (
+        ("upper", up, True),
+        ("lower", low.value, True),
+        ("corollary", cor, corollary_applicable),
+        ("one_over_e", E_BOUND, e_bound_applicable),
+        ("allaart_islas", allaart_islas, e_bound_applicable),
+    )
+    satisfied, equality = {}, {}
+    for bound_id, value, applies in table:
+        if not applies:
+            continue
+        ok = v <= value + EQUALITY_TOL if bound_id == "upper" else v >= value - EQUALITY_TOL
         if not ok:
-            raise InternalBoundViolation(bound_id, v, values[bound_id])
+            raise InternalBoundViolation(bound_id, v, value)
+        satisfied[bound_id] = ok
+        if bound_id != "one_over_e":
+            equality[bound_id] = abs(v - value) <= EQUALITY_TOL
 
     return BoundReport(
         v_n=v,
@@ -219,9 +170,9 @@ def bound_report(seq: OddsSequence) -> BoundReport:
         lower_strict=low.strict,
         corollary=cor,
         corollary_applicable=corollary_applicable,
-        e_bound_applicable=prior.e_applicable,
-        e_bound=prior.e_value,
-        allaart_islas=prior.ai_value,
+        e_bound_applicable=e_bound_applicable,
+        e_bound=E_BOUND,
+        allaart_islas=allaart_islas,
         satisfied=satisfied,
         equality=equality,
     )

@@ -151,8 +151,10 @@ def _parse_file(path: str) -> list[float]:
     stripped = text.lstrip()
     try:
         if stripped.startswith("{"):
-            doc = json.loads(text)
-            return [float(x) for x in doc["p"]]
+            p = json.loads(text)["p"]
+            if not isinstance(p, list):
+                raise ValueError(f'"p" must be a JSON array, got {type(p).__name__}')
+            return [float(x) for x in p]
         return [float(line) for line in text.splitlines() if line.strip()]
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise click.UsageError(f"cannot parse {path}: {exc}")
@@ -434,7 +436,8 @@ def _parse_int_range(spec: str, name: str) -> list[int]:
                 start, stop, step = parts
             else:
                 raise ValueError("use START:STOP or START:STOP:STEP")
-            return list(range(start, stop + 1, step))
+            # STOP is inclusive in the direction of the step
+            return list(range(start, stop + (1 if step > 0 else -1), step))
         return [int(spec)]
     except ValueError as exc:
         raise click.UsageError(f"bad {name} range {spec!r}: {exc}")

@@ -183,7 +183,10 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
     offending 1-based index) for bad entries, including entries float()
     rejects: OutOfRange for a number beyond float range such as 10**400,
     NotANumber for anything else (None, a complex, a non-numeric string).
+    InvalidArgument for a str, bytes or bytearray ``p`` (not read as entries).
     """
+    if isinstance(p, (str, bytes, bytearray)):
+        raise InvalidArgument(f"need a sequence of probabilities, got {type(p).__name__}")
     try:
         probs = tuple(map(float, p))
     except (OverflowError, TypeError, ValueError):
@@ -266,23 +269,3 @@ def secretary_sequence(n: int) -> OddsSequence:
     if n < 1:
         raise EmptySequence("secretary sequence needs n >= 1")
     return validate_probabilities([1.0 / j for j in range(1, n + 1)])
-
-
-def lindley_threshold(n: int) -> int:
-    """Classical threshold for the best-choice problem via harmonic sums.
-
-    Returns the k with a_{k-1} >= 1 > a_k where a_k = 1/k + ... + 1/(n-1)
-    (empty sum = 0, a_0 = +inf).  Deliberately computed from plain
-    left-shifted harmonic sums rather than the odds machinery, so it can
-    cross-check ``threshold(secretary_sequence(n))``.
-    """
-    if n < 1:
-        raise EmptySequence("need n >= 1")
-    # a[k] = a_k for 1 <= k <= n; a_n = 0 by the empty-sum convention.
-    a = [0.0] * (n + 1)
-    for k in range(n - 1, 0, -1):
-        a[k] = a[k + 1] + 1.0 / k
-    for k in range(n, 1, -1):
-        if a[k - 1] >= 1.0:
-            return k
-    return 1  # a_0 = +inf always qualifies

@@ -31,10 +31,6 @@ class NotANumber(OddsRuleError):
         super().__init__(f"p_{index} = {value!r} is not a finite number")
 
 
-class NegativeInput(OddsRuleError):
-    """An odds-like quantity that must be nonnegative was negative."""
-
-
 class InconsistentInput(OddsRuleError):
     """Parameters contradict each other (e.g. a threshold above 1 with a
     suffix odds sum below 1, which the threshold definition rules out)."""

@@ -185,20 +185,3 @@ def lower_near_extremal_case3(
             n=n, s=s, R_s=2.0 - alpha + 1.0 / m, alpha=alpha
         ),
     )
-
-
-def equal_odds_sequence(n: int, s: int, R_s: float) -> OddsSequence:
-    """Probe sequence with odds R_s/(n-s+1) spread equally over [s, n].
-
-    When R_s > 1 + 1/(n-s) this profile is self-contradictory: the tail
-    sum R_{s+1} already exceeds 1, so the actual threshold lands above
-    the nominal s.  The sequence is still valid input; it exists so that
-    tests can demonstrate the contradiction numerically.
-    """
-    if not 1 <= s <= n:
-        raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
-    if math.isnan(R_s) or R_s < 0.0:
-        raise InconsistentInput(f"need R_s >= 0, got {R_s!r}")
-    r = R_s / (n - s + 1)
-    p = [0.0] * (s - 1) + [odds_to_prob(r)] * (n - s + 1)
-    return validate_probabilities(p)

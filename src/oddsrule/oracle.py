@@ -1,10 +1,11 @@
 """Independent verification engines for the odds rule.
 
-Four routes to the same numbers, sharing no code with the closed-form
+Five routes to the same numbers, sharing no code with the closed-form
 evaluation in :mod:`oddsrule.core`:
 
 * exact backward induction over *all* adapted stopping rules,
 * the exact value of every fixed threshold rule,
+* Lindley's harmonic-sum threshold of the secretary sequence p_j = 1/j,
 * exhaustive enumeration of the outcome vectors the rule wins on
   (n <= 20),
 * a seeded Monte Carlo simulator that draws only the rule's window,
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .core import OddsSequence
-from .errors import IndexOutOfRange, InvalidArgument, TooLarge
+from .errors import EmptySequence, IndexOutOfRange, InvalidArgument, TooLarge
 
 EXHAUSTIVE_MAX_N = 20
 MC_CHUNK = 1 << 18  # uniforms per Monte Carlo draw
@@ -115,6 +116,26 @@ def threshold_rule_values(seq: OddsSequence) -> tuple[float, ...]:
         vals[k - 1] = p_next
         q_next -= p_k * q_next
     return tuple(vals)
+
+
+def lindley_threshold(n: int) -> int:
+    """Classical threshold for the best-choice problem via harmonic sums.
+
+    Returns the k with a_{k-1} >= 1 > a_k where a_k = 1/k + ... + 1/(n-1)
+    (empty sum = 0, a_0 = +inf).  Deliberately computed from plain
+    left-shifted harmonic sums rather than the odds machinery, so it can
+    cross-check ``threshold(secretary_sequence(n))``.
+    """
+    if n < 1:
+        raise EmptySequence("need n >= 1")
+    # a[k] = a_k for 1 <= k <= n; a_n = 0 by the empty-sum convention.
+    a = [0.0] * (n + 1)
+    for k in range(n - 1, 0, -1):
+        a[k] = a[k + 1] + 1.0 / k
+    for k in range(n, 1, -1):
+        if a[k - 1] >= 1.0:
+            return k
+    return 1  # a_0 = +inf always qualifies
 
 
 def exhaustive_value(seq: OddsSequence, k: int) -> float:

@@ -1,11 +1,18 @@
-"""Reference computations for freezing expected values.
+"""Reference computations for freezing expected values, and the helpers
+only the tests use.
 
-Everything here but full_enumeration_value runs on the exact binary
-values of the input floats, in fractions.Fraction arithmetic or, where n
-is too large for Fractions, in 60-digit decimal arithmetic; none of it
-shares code (or rounding behaviour) with the library's floating-point
-paths.  full_enumeration_value is the float reference for the bits of
+exact_window_win, decimal_window_win, exact_suffix_sums, exact_threshold
+and exact_win run on the exact binary values of the input floats, in
+fractions.Fraction arithmetic or, where n is too large for Fractions, in
+60-digit decimal arithmetic; none of it shares code (or rounding
+behaviour) with the library's floating-point paths.
+full_enumeration_value is the float reference for the bits of
 oracle.exhaustive_value.
+
+The float helpers are log_product_gap (which raises NegativeInput), the
+gap in ln prod(1 + x_j) >= ln(1 + sum x_j); equal_odds_sequence, a probe
+profile whose nominal threshold is self-contradictory; and prior_bounds,
+the two sum-free bounds of oddsrule.bound_report under their old names.
 """
 
 from __future__ import annotations
@@ -13,8 +20,18 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
+
+from oddsrule import (
+    InconsistentInput,
+    NotANumber,
+    OddsSequence,
+    bound_report,
+    odds_to_prob,
+    validate_probabilities,
+)
 
 
 def exact_window_win(probs, k: int) -> Fraction:
@@ -101,3 +118,71 @@ def full_enumeration_value(seq, k: int) -> float:
         weights = np.concatenate((weights * (1.0 - p_j), weights * p_j))
         successes = np.concatenate((successes, successes + (j >= k - 1)))
     return math.fsum(weights[successes == 1].tolist())
+
+
+class NegativeInput(ValueError):
+    """An odds-like quantity that must be nonnegative was negative."""
+
+
+def log_product_gap(xs) -> float:
+    """sum_j ln(1 + x_j) - ln(1 + sum_j x_j), nonnegative for x_j >= 0.
+
+    Zero exactly when at most one coordinate is nonzero.  Computed as
+    log1p(u / (1 + S)) where u = prod(1+x_j) - 1 - S accumulates only
+    nonnegative increments, so the result can never round below 0 (the
+    naive difference of two logs can, when the true gap is below 1e-16).
+    """
+    values = [float(x) for x in xs]
+    for i, x in enumerate(values, start=1):
+        if math.isnan(x) or math.isinf(x):
+            raise NotANumber(i, x)
+        if x < 0.0:
+            raise NegativeInput(f"need nonnegative entries, got {x!r}")
+    total = math.fsum(values)
+    prodm1 = 0.0  # prod(1+x) - 1 over the processed prefix
+    u = 0.0       # prodm1 - (running sum): the second-and-higher order mass
+    for x in values:
+        u += prodm1 * x
+        prodm1 += x + prodm1 * x
+        if math.isinf(prodm1):
+            # Astronomic gap: the direct formula is safe out here.
+            return math.fsum(math.log1p(v) for v in values) - math.log1p(total)
+    return math.log1p(u / (1.0 + total))
+
+
+def equal_odds_sequence(n: int, s: int, R_s: float) -> OddsSequence:
+    """Probe sequence with odds R_s/(n-s+1) spread equally over [s, n].
+
+    When R_s > 1 + 1/(n-s) this profile is self-contradictory: the tail
+    sum R_{s+1} already exceeds 1, so the actual threshold lands above
+    the nominal s.  The sequence is still valid input; it exists so that
+    tests can demonstrate the contradiction numerically.
+    """
+    if not 1 <= s <= n:
+        raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
+    if math.isnan(R_s) or R_s < 0.0:
+        raise InconsistentInput(f"need R_s >= 0, got {R_s!r}")
+    r = R_s / (n - s + 1)
+    p = [0.0] * (s - 1) + [odds_to_prob(r)] * (n - s + 1)
+    return validate_probabilities(p)
+
+
+class PriorBounds(NamedTuple):
+    e_applicable: bool
+    e_value: float
+    ai_value: float
+
+
+def prior_bounds(seq: OddsSequence) -> PriorBounds:
+    """The two classical sum-free lower bounds, as bound_report gives them.
+
+    Both require R_1 >= 1: V_n > 1/e, and the sharp
+    V_n >= (1 - 1/(n+1))^n (equality at constant p_j = 1/(n+1), the
+    Allaart-Islas configuration).
+    """
+    report = bound_report(seq)
+    return PriorBounds(
+        e_applicable=report.e_bound_applicable,
+        e_value=report.e_bound,
+        ai_value=report.allaart_islas,
+    )

@@ -11,19 +11,22 @@ import time
 
 import numpy as np
 
-from exact_oracle import exact_win, exact_window_win
+from exact_oracle import (
+    equal_odds_sequence,
+    exact_win,
+    exact_window_win,
+    log_product_gap,
+    prior_bounds,
+)
 from oddsrule import (
     dp_optimal_value,
-    equal_odds_sequence,
     exhaustive_value,
     lindley_threshold,
-    log_product_gap,
     lower_bound,
     lower_extremal_case1,
     lower_extremal_case2,
     lower_near_extremal_case3,
     monte_carlo,
-    prior_bounds,
     secretary_sequence,
     threshold,
     threshold_rule_value,

@@ -4,18 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_oracle import exact_win
+from exact_oracle import (
+    NegativeInput,
+    equal_odds_sequence,
+    exact_win,
+    log_product_gap,
+    prior_bounds,
+)
 from oddsrule import (
     InconsistentInput,
-    NegativeInput,
     NotANumber,
     ThresholdResult,
     bound_report,
     corollary_bound,
-    equal_odds_sequence,
-    log_product_gap,
     lower_bound,
-    prior_bounds,
     secretary_sequence,
     threshold,
     upper_bound,

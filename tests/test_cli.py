@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -161,6 +160,18 @@ class TestAnalyze:
         assert res.stdout == ""
         assert f"cannot parse {path}" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "text", ['{"p": "10"}', '{"p": {"0": 1, "1": 2}}'], ids=["string", "object"]
+    )
+    def test_file_p_not_an_array_exits_2(self, runner, tmp_path, text):
+        # iterating a string or an object would analyze its characters or keys
+        path = tmp_path / "probs.json"
+        path.write_text(text)
+        res = invoke(runner, "analyze", "--file", str(path))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"cannot parse {path}" in res.stderr
 
     def test_infinite_sums_render_as_strings(self, runner):
         res = invoke(runner, "analyze", "1,0.2", "--format", "json")
@@ -332,6 +343,26 @@ class TestSweep:
         res = runner.invoke(
             main, ["sweep", "--n", "5:4", "--s", "1", "--rs", "1", "-o",
                    str(tmp_path / "x.csv")],
+        )
+        assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "option, spec, column, values",
+        [("--n", "5:3:-1", 0, ["5", "4", "3"]), ("--s", "8:2:-3", 1, ["8", "5", "2"])],
+        ids=["n", "s"],
+    )
+    def test_negative_step_includes_stop(self, runner, option, spec, column, values):
+        specs = {"--n": "10", "--s": "1", option: spec}
+        res = invoke(
+            runner, "sweep", "--n", specs["--n"], "--s", specs["--s"], "--rs", "1", "-o", "-"
+        )
+        assert res.exit_code == 0
+        rows = res.stdout.splitlines()[1:]
+        assert [row.split(",")[column] for row in rows] == values
+
+    def test_zero_step_exits_2(self, runner):
+        res = runner.invoke(
+            main, ["sweep", "--n", "2:50:0", "--s", "1", "--rs", "1", "-o", "-"]
         )
         assert res.exit_code == 2
 

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -62,6 +61,17 @@ class TestValidate:
             validate_probabilities([0.5, 0.25, bad, 10**400])
         assert err.value.index == 3
         assert err.value.value is bad
+
+    @pytest.mark.parametrize(
+        "p", ["10", b"\x01\x00", bytearray(b"\x01\x00")], ids=["str", "bytes", "bytearray"]
+    )
+    def test_rejects_characters_or_bytes_as_the_sequence(self, p):
+        # float() of each character or byte value would give p = (1, 0)
+        with pytest.raises(InvalidArgument):
+            validate_probabilities(p)
+
+    def test_numeric_strings_in_a_list_stay_accepted(self):
+        assert validate_probabilities(["0.5", "0.25"]).p == (0.5, 0.25)
 
     def test_suffix_sums_nonincreasing(self):
         seq = validate_probabilities([0.1, 0.9, 0.0, 0.4, 0.4])

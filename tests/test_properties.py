@@ -12,12 +12,12 @@ from exact_oracle import (
     exact_threshold,
     exact_window_win,
     full_enumeration_value,
+    log_product_gap,
 )
 from oddsrule import (
     bound_report,
     dp_optimal_value,
     exhaustive_value,
-    log_product_gap,
     lower_bound,
     lower_extremal_case2,
     lower_near_extremal_case3,
