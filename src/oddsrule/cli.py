@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's argparse.
 
 Usage:
     oddsrule analyze 0,0,0.5,0,0            # threshold, V_n, bound report
@@ -9,18 +9,20 @@ Usage:
     oddsrule extremal case2 --n 4 --s 1     # bound-attaining sequences
     oddsrule sweep --n 10 --s 2:8 --rs 0.5,1,2 -o table.csv
 
-Exit codes: 0 success, 2 invalid input, 3 internal verification failure.
+Exit codes: 0 success, 2 invalid input or usage, 3 internal verification
+failure.  Each option that takes a value takes the next token, also one
+that starts with '-' ('--rs -1,2').
 Machine-readable output (json / csv) prints floats with 17 significant
 digits so binary doubles round-trip, and is byte-identical across runs.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import sys
-
-import click
 
 from . import __version__, bounds, core, extremal, oracle
 from .errors import InconsistentInput, IndexOutOfRange, InternalBoundViolation
@@ -88,58 +90,65 @@ def render_json(doc, indent: int = 0) -> str:
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
-        # float.__format__ is the TypeError guard: it takes no bool or int
-        body = f",\n{pad}  ".join(
-            [float.__format__(v, ".17g") if math.isfinite(v) else f'"{v}"' for v in doc]
-        )
+        # one C-level % pass over the whole list; float.__float__ is the
+        # TypeError guard: it takes no bool, int, str or None
+        sep = f",\n{pad}  "
+        body = sep.join(["%.17g"] * len(doc)) % tuple(map(float.__float__, doc))
+        if "n" in body:  # "inf", "-inf" or "nan": quote them as JSON strings
+            body = sep.join([t if t[-1].isdigit() else f'"{t}"' for t in body.split(sep)])
         return f"[\n{pad}  {body}\n{pad}]"
     return _json_scalar(doc)
 
 
+class UsageError(Exception):
+    """Bad command-line syntax: reported under the command's usage line,
+    exit code 2."""
+
+
 def _fail(msg: str, code: int = EXIT_INPUT) -> None:
-    click.echo(f"error: {msg}", err=True)
+    sys.stdout.flush()  # what was printed comes first in a merged stream
+    print(f"error: {msg}", file=sys.stderr)
     sys.exit(code)
 
 
 # ---------------------------------------------------------------- input
 
 
-def input_options(f):
-    f = click.argument("probs", required=False)(f)
-    f = click.option(
-        "--file", "-f", "file_path", type=click.Path(),
-        help="Read probabilities from a file: JSON {\"p\": [...]} or one per line.",
-    )(f)
-    f = click.option(
-        "--secretary", "secretary_n", type=click.IntRange(min=1), metavar="N",
-        help="Use the builtin record sequence p_j = 1/j of length N.",
-    )(f)
-    f = click.option(
-        "--extremal", "extremal_spec", metavar="SPEC",
-        help="Use a builtin extremal generator, e.g. 'case2:n=6,s=3' or "
-        "'upper:n=5,s=3,rs=1'.",
-    )(f)
-    return f
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1.")
+    return value
 
 
-format_option = click.option(
-    "--format", "output_format", type=click.Choice(["text", "json"]),
-    default="text", show_default=True,
-)
+def add_input_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("probs", nargs="?", metavar="PROBS")
+    sub.add_argument("--file", "-f", dest="file_path", metavar="PATH",
+                     help='Read probabilities from a file: JSON {"p": [...]} or one per line.')
+    sub.add_argument("--secretary", dest="secretary_n", type=positive_int, metavar="N",
+                     help="Use the builtin record sequence p_j = 1/j of length N.")
+    sub.add_argument("--extremal", dest="extremal_spec", metavar="SPEC",
+                     help="Use a builtin extremal generator, e.g. 'case2:n=6,s=3' or "
+                     "'upper:n=5,s=3,rs=1'.")
 
 
-def monte_carlo_options(f):
-    f = click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)(f)
-    return click.option(
-        "--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS, show_default=True
-    )(f)
+def add_format_option(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--format", dest="output_format", choices=("text", "json"),
+                     default="text", help="(default: text)")
+
+
+def add_monte_carlo_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS,
+                     help=f"(default: {DEFAULT_TRIALS})")
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"(default: {DEFAULT_SEED})")
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise click.UsageError(f"cannot parse {what}: {exc}")
+        raise UsageError(f"cannot parse {what}: {exc}")
 
 
 def _parse_file(path: str) -> list[float]:
@@ -147,7 +156,7 @@ def _parse_file(path: str) -> list[float]:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}")
+        raise UsageError(f"cannot read {path}: {exc}")
     stripped = text.lstrip()
     try:
         if stripped.startswith("{"):
@@ -157,7 +166,7 @@ def _parse_file(path: str) -> list[float]:
             return [float(x) for x in p]
         return [float(line) for line in text.splitlines() if line.strip()]
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise click.UsageError(f"cannot parse {path}: {exc}")
+        raise UsageError(f"cannot parse {path}: {exc}")
 
 
 def _parse_extremal_spec(spec: str) -> extremal.ExtremalConfig:
@@ -172,7 +181,7 @@ def _parse_extremal_spec(spec: str) -> extremal.ExtremalConfig:
             params[key] = int(value) if key in ("n", "s") else float(value)
         return _generate_extremal(family, params)
     except ValueError as exc:
-        raise click.UsageError(f"bad extremal spec {spec!r}: {exc}")
+        raise UsageError(f"bad extremal spec {spec!r}: {exc}")
 
 
 # family -> (generator, its keys in argument order, how many are required)
@@ -200,23 +209,26 @@ def _generate_extremal(family: str, params: dict) -> extremal.ExtremalConfig:
     return generator(*(params[key] for key in keys if key in params))
 
 
-def resolve_sequence(probs, file_path, secretary_n, extremal_spec) -> core.OddsSequence:
+def resolve_sequence(args: argparse.Namespace) -> core.OddsSequence:
     """The validated sequence named by the one input given; invalid input
     exits with code 2."""
     given = [
-        x for x in (probs, file_path, secretary_n, extremal_spec) if x is not None
+        x
+        for x in (args.probs, args.file_path, args.secretary_n, args.extremal_spec)
+        if x is not None
     ]
     if len(given) != 1:
-        raise click.UsageError(
+        raise UsageError(
             "provide exactly one input: inline PROBS, --file, --secretary or --extremal"
         )
     try:
-        if secretary_n is not None:
-            return core.secretary_sequence(secretary_n)
-        if extremal_spec is not None:
-            return _parse_extremal_spec(extremal_spec).seq
-        p = _parse_file(file_path) if probs is None else _parse_floats(probs, "PROBS")
-        return core.validate_probabilities(p)
+        if args.secretary_n is not None:
+            return core.secretary_sequence(args.secretary_n)
+        if args.extremal_spec is not None:
+            return _parse_extremal_spec(args.extremal_spec).seq
+        if args.probs is None:
+            return core.validate_probabilities(_parse_file(args.file_path))
+        return core.validate_probabilities(_parse_floats(args.probs, "PROBS"))
     except OddsRuleError as exc:
         _fail(str(exc))
 
@@ -267,39 +279,35 @@ def _analysis_document(seq: core.OddsSequence) -> dict:
     }
 
 
-def _echo_analysis_text(doc: dict) -> None:
-    click.echo(f"n             {doc['n']}")
-    click.echo("p             " + ", ".join(fmt_human(x) for x in doc["p"]))
-    click.echo("odds          " + ", ".join(fmt_human(x) for x in doc["odds"]))
-    click.echo("suffix sums   " + ", ".join(fmt_human(x) for x in doc["suffix_sums"]))
-    click.echo(f"s             {doc['s']}")
-    click.echo(f"R_s           {fmt_human(doc['R_s'])}")
-    click.echo(f"boundary      {'yes' if doc['boundary_flag'] else 'no'}")
-    click.echo(f"V_n           {fmt_human(doc['v_n'])}")
+def _print_analysis_text(doc: dict) -> None:
+    print(f"n             {doc['n']}")
+    print("p             " + ", ".join(fmt_human(x) for x in doc["p"]))
+    print("odds          " + ", ".join(fmt_human(x) for x in doc["odds"]))
+    print("suffix sums   " + ", ".join(fmt_human(x) for x in doc["suffix_sums"]))
+    print(f"s             {doc['s']}")
+    print(f"R_s           {fmt_human(doc['R_s'])}")
+    print(f"boundary      {'yes' if doc['boundary_flag'] else 'no'}")
+    print(f"V_n           {fmt_human(doc['v_n'])}")
     ratio = doc["v_n_odds_ratio"]
-    click.echo(
-        "V_n (ratio)   "
-        + (fmt_human(ratio) if ratio is not None else "n/a (window has p = 1)")
-    )
+    print("V_n (ratio)   "
+          + (fmt_human(ratio) if ratio is not None else "n/a (window has p = 1)"))
     b = doc["bounds"]
     eq = "  [equality]" if b["upper"]["equality"] else ""
-    click.echo(f"upper         {fmt_human(b['upper']['value'])}{eq}")
+    print(f"upper         {fmt_human(b['upper']['value'])}{eq}")
     low = b["lower"]
     strict = ", strict" if low["strict"] else ""
     eq = "  [equality]" if low["equality"] else ""
-    click.echo(
-        f"lower         {fmt_human(low['value'])}  (case {low['case']}{strict}){eq}"
-    )
+    print(f"lower         {fmt_human(low['value'])}  (case {low['case']}{strict}){eq}")
     cor = b["corollary"]
     applicable = "" if cor["applicable"] else "  [not applicable: s = 1]"
-    click.echo(f"corollary     {fmt_human(cor['value'])}{applicable}")
+    print(f"corollary     {fmt_human(cor['value'])}{applicable}")
     e = b["one_over_e"]
     applicable = "" if e["applicable"] else "  [not applicable: R_1 < 1]"
-    click.echo(f"1/e           {fmt_human(e['value'])}{applicable}")
+    print(f"1/e           {fmt_human(e['value'])}{applicable}")
     ai = b["allaart_islas"]
     eq = "  [equality]" if ai.get("equality") else ""
     applicable = "" if ai["applicable"] else "  [not applicable: R_1 < 1]"
-    click.echo(f"allaart-islas {fmt_human(ai['value'])}{applicable}{eq}")
+    print(f"allaart-islas {fmt_human(ai['value'])}{applicable}{eq}")
 
 
 def _run_analysis(seq: core.OddsSequence, output_format: str) -> None:
@@ -308,51 +316,32 @@ def _run_analysis(seq: core.OddsSequence, output_format: str) -> None:
     except InternalBoundViolation as exc:
         _fail(str(exc), EXIT_VERIFY)
     if output_format == "json":
-        click.echo(render_json(doc))
+        print(render_json(doc))
     else:
-        _echo_analysis_text(doc)
+        _print_analysis_text(doc)
 
 
 # ---------------------------------------------------------------- commands
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="oddsrule")
-def main():
-    """Optimal stopping on independent indicators: the odds rule, its
-    success probability, sharp bounds, and verification oracles."""
-
-
-@main.command()
-@input_options
-@format_option
-def analyze(probs, file_path, secretary_n, extremal_spec, output_format):
+def analyze(args: argparse.Namespace) -> None:
     """Threshold, win probability and full bound report for a sequence."""
-    _run_analysis(
-        resolve_sequence(probs, file_path, secretary_n, extremal_spec), output_format
-    )
+    _run_analysis(resolve_sequence(args), args.output_format)
 
 
-@main.command()
-@click.argument("n", type=click.IntRange(min=1))
-@format_option
-def secretary(n, output_format):
+def secretary(args: argparse.Namespace) -> None:
     """Analyze the builtin record sequence p_j = 1/j (best-choice problem)."""
-    _run_analysis(core.secretary_sequence(n), output_format)
+    _run_analysis(core.secretary_sequence(args.n), args.output_format)
 
 
-@main.command("oracle-check")
-@input_options
-@monte_carlo_options
-@format_option
-def oracle_check(probs, file_path, secretary_n, extremal_spec, trials, seed, output_format):
+def oracle_check(args: argparse.Namespace) -> None:
     """Cross-check the closed form against every independent oracle.
 
     Exits 0 when all exact oracles agree within 1e-12 and the Monte
-    Carlo estimate lands within 4 standard errors; exits 3 otherwise
-    (which would signal a bug, not a property of the input).
+    Carlo estimate lands within 4 standard errors of V_n; exits 3
+    otherwise (which would signal a bug, not a property of the input).
     """
-    seq = resolve_sequence(probs, file_path, secretary_n, extremal_spec)
+    seq = resolve_sequence(args)
     t = core.threshold(seq)
     v = core.win_probability(seq, t).value
 
@@ -375,10 +364,12 @@ def oracle_check(probs, file_path, secretary_n, extremal_spec, trials, seed, out
         checks["exhaustive"] = abs(exhaustive - v) <= ORACLE_TOL
     else:
         rows["exhaustive"] = None
-    sim = oracle.monte_carlo(seq, t.s, trials, seed)
+    sim = oracle.monte_carlo(seq, t.s, args.trials, args.seed)
     rows["monte_carlo"] = sim.estimate
-    margin = 4.0 * sim.std_error
-    checks["monte_carlo"] = abs(sim.estimate - v) <= margin if margin > 0 else sim.estimate == v
+    # the band is the standard error under the hypothesis p = V_n, not the
+    # reported plug-in one, which is 0 when no trial wins
+    se = math.sqrt(max(v * (1.0 - v), 0.0) / sim.trials)
+    checks["monte_carlo"] = abs(sim.estimate - v) <= 4.0 * se
 
     doc = {
         "n": seq.n,
@@ -393,32 +384,21 @@ def oracle_check(probs, file_path, secretary_n, extremal_spec, trials, seed, out
         "checks": checks,
         "agree": all(checks.values()),
     }
-    if output_format == "json":
-        click.echo(render_json(doc))
+    if args.output_format == "json":
+        print(render_json(doc))
     else:
-        click.echo(f"formula V_n            {fmt_human(v)}")
-        click.echo(
-            f"dp optimal             {fmt_human(dp.value)}"
-            f"   {'ok' if checks['dp'] else 'MISMATCH'}"
-        )
-        click.echo(
-            f"threshold family max   {fmt_human(best)}"
-            f"   {'ok (attained at s)' if checks['threshold_family'] else 'MISMATCH'}"
-        )
+        print(f"formula V_n            {fmt_human(v)}")
+        print(f"dp optimal             {fmt_human(dp.value)}"
+              f"   {'ok' if checks['dp'] else 'MISMATCH'}")
+        print(f"threshold family max   {fmt_human(best)}"
+              f"   {'ok (attained at s)' if checks['threshold_family'] else 'MISMATCH'}")
         if rows["exhaustive"] is None:
-            click.echo(
-                f"exhaustive             skipped (n > {oracle.EXHAUSTIVE_MAX_N})"
-            )
+            print(f"exhaustive             skipped (n > {oracle.EXHAUSTIVE_MAX_N})")
         else:
-            click.echo(
-                f"exhaustive             {fmt_human(rows['exhaustive'])}"
-                f"   {'ok' if checks['exhaustive'] else 'MISMATCH'}"
-            )
-        click.echo(
-            f"monte carlo            {fmt_human(sim.estimate)}"
-            f" +/- {fmt_human(sim.std_error)}"
-            f"   {'ok (4 se)' if checks['monte_carlo'] else 'OUTSIDE 4 SE'}"
-        )
+            print(f"exhaustive             {fmt_human(rows['exhaustive'])}"
+                  f"   {'ok' if checks['exhaustive'] else 'MISMATCH'}")
+        print(f"monte carlo            {fmt_human(sim.estimate)} +/- {fmt_human(sim.std_error)}"
+              f"   {'ok (4 se)' if checks['monte_carlo'] else 'OUTSIDE 4 SE'}")
     if not doc["agree"]:
         _fail("oracle disagreement", EXIT_VERIFY)
 
@@ -440,19 +420,10 @@ def _parse_int_range(spec: str, name: str) -> list[int]:
             return list(range(start, stop + (1 if step > 0 else -1), step))
         return [int(spec)]
     except ValueError as exc:
-        raise click.UsageError(f"bad {name} range {spec!r}: {exc}")
+        raise UsageError(f"bad {name} range {spec!r}: {exc}")
 
 
-@main.command()
-@click.option("--n", "n_spec", required=True, metavar="RANGE",
-              help="Horizon values: '10', '2:50', '2:50:4' or '3,7,9'.")
-@click.option("--s", "s_spec", required=True, metavar="RANGE",
-              help="Threshold values, same syntax.")
-@click.option("--rs", "rs_spec", required=True, metavar="GRID",
-              help="Comma-separated R_s grid, e.g. '0.5,1,1.5,3'.")
-@click.option("--output", "-o", "output_path", required=True,
-              type=click.Path(allow_dash=True))
-def sweep(n_spec, s_spec, rs_spec, output_path):
+def sweep(args: argparse.Namespace) -> None:
     """Tabulate bounds over an (n, s, R_s) grid as CSV.
 
     Columns: n,s,R_s,case,lower,upper,corollary,v_n.  The v_n column is
@@ -462,9 +433,9 @@ def sweep(n_spec, s_spec, rs_spec, output_path):
     bound's domain (s outside [1, n], R_s NaN or negative, R_s < 1 with
     s > 1) are skipped with a notice.
     """
-    ns = _parse_int_range(n_spec, "--n")
-    ss = _parse_int_range(s_spec, "--s")
-    grid = _parse_floats(rs_spec, f"--rs grid {rs_spec!r}")
+    ns = _parse_int_range(args.n_spec, "--n")
+    ss = _parse_int_range(args.s_spec, "--s")
+    grid = _parse_floats(args.rs_spec, f"--rs grid {args.rs_spec!r}")
     if not ns or not ss or not grid:
         _fail("empty sweep grid")
 
@@ -476,11 +447,8 @@ def sweep(n_spec, s_spec, rs_spec, output_path):
                 try:
                     low = bounds.lower_bound(n, s, rs)
                 except InconsistentInput as exc:
-                    click.echo(
-                        f"notice: skipping inconsistent point n={n} s={s} "
-                        f"R_s={rs}: {exc}",
-                        err=True,
-                    )
+                    print(f"notice: skipping inconsistent point n={n} s={s} R_s={rs}: {exc}",
+                          file=sys.stderr)
                     continue
                 upper = core.odds_to_prob(rs)
                 corollary = bounds.corollary_bound(n, s)
@@ -503,15 +471,16 @@ def sweep(n_spec, s_spec, rs_spec, output_path):
     if rows == 0:
         _fail("sweep grid produced no consistent rows")
     text = "\n".join(lines) + "\n"
+    output_path = args.output_path
     if output_path == "-":
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         return
     try:
         with open(output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         _fail(f"cannot write {output_path}: {exc}")
-    click.echo(f"wrote {rows} rows to {output_path}", err=True)
+    print(f"wrote {rows} rows to {output_path}", file=sys.stderr)
 
 
 def _sweep_attained_value(n: int, s: int, rs: float, case: int) -> float | None:
@@ -530,14 +499,7 @@ def _sweep_attained_value(n: int, s: int, rs: float, case: int) -> float | None:
     return core.win_probability(seq, core.threshold(seq)).value
 
 
-@main.command("extremal")
-@click.argument("family", type=click.Choice(list(EXTREMAL_FAMILIES)))
-@click.option("--n", type=int, required=True)
-@click.option("--s", type=int)
-@click.option("--rs", type=float, help="Suffix odds sum (R_1 for case1).")
-@click.option("--alpha", type=float, help="Case-3 closeness parameter in (0, 1).")
-@format_option
-def extremal_cmd(family, output_format, **params):
+def extremal_cmd(args: argparse.Namespace) -> None:
     """Emit a bound-attaining probability sequence.
 
     Families: 'upper' (single-entry window, attains the upper bound),
@@ -545,13 +507,14 @@ def extremal_cmd(family, output_format, **params):
     (equal window, attains the unit-sum lower bound), 'case3' (limiting
     family for the strict lower bound).
     """
+    given = {key: getattr(args, key) for key in ("n", "s", "rs", "alpha")}
     try:
-        cfg = _generate_extremal(family, {k: v for k, v in params.items() if v is not None})
+        cfg = _generate_extremal(args.family, {k: v for k, v in given.items() if v is not None})
     except OddsRuleError as exc:
         _fail(str(exc))
     seq = cfg.seq
     v = core.win_probability(seq, core.threshold(seq)).value
-    if output_format == "json":
+    if args.output_format == "json":
         params = {
             "n": cfg.parameters.n,
             "s": cfg.parameters.s,
@@ -559,62 +522,130 @@ def extremal_cmd(family, output_format, **params):
         }
         if cfg.parameters.alpha is not None:
             params["alpha"] = cfg.parameters.alpha
-        click.echo(
-            render_json(
-                {
-                    "family": family,
-                    "p": list(seq.p),
-                    "target_bound": cfg.target_bound,
-                    "v_n": v,
-                    "attainment": cfg.attainment,
-                    "parameters": params,
-                }
-            )
-        )
+        print(render_json({
+            "family": args.family,
+            "p": list(seq.p),
+            "target_bound": cfg.target_bound,
+            "v_n": v,
+            "attainment": cfg.attainment,
+            "parameters": params,
+        }))
     else:
-        click.echo(",".join(fmt_prob(x) for x in seq.p))
-        click.echo(f"target     {fmt_human(cfg.target_bound)}")
-        click.echo(f"v_n        {fmt_human(v)}")
-        click.echo(f"attainment {cfg.attainment}")
+        print(",".join(fmt_prob(x) for x in seq.p))
+        print(f"target     {fmt_human(cfg.target_bound)}")
+        print(f"v_n        {fmt_human(v)}")
+        print(f"attainment {cfg.attainment}")
 
 
-@main.command()
-@input_options
-@click.option("--k", type=int, default=None,
-              help="Threshold index; defaults to the optimal s.")
-@monte_carlo_options
-@format_option
-def simulate(probs, file_path, secretary_n, extremal_spec, k, trials, seed, output_format):
+def simulate(args: argparse.Namespace) -> None:
     """Monte Carlo estimate of a threshold rule's win probability."""
-    seq = resolve_sequence(probs, file_path, secretary_n, extremal_spec)
-    rule_k = core.threshold(seq).s if k is None else k
+    seq = resolve_sequence(args)
+    rule_k = core.threshold(seq).s if args.k is None else args.k
     try:
         exact = oracle.threshold_rule_value(seq, rule_k)
     except IndexOutOfRange as exc:
         _fail(str(exc))
-    sim = oracle.monte_carlo(seq, rule_k, trials, seed)
-    if output_format == "json":
-        click.echo(
-            render_json(
-                {
-                    "n": seq.n,
-                    "k": rule_k,
-                    "trials": sim.trials,
-                    "wins": sim.wins,
-                    "estimate": sim.estimate,
-                    "std_error": sim.std_error,
-                    "seed": sim.seed,
-                    "exact": exact,
-                }
-            )
-        )
+    sim = oracle.monte_carlo(seq, rule_k, args.trials, args.seed)
+    if args.output_format == "json":
+        print(render_json({
+            "n": seq.n,
+            "k": rule_k,
+            "trials": sim.trials,
+            "wins": sim.wins,
+            "estimate": sim.estimate,
+            "std_error": sim.std_error,
+            "seed": sim.seed,
+            "exact": exact,
+        }))
     else:
-        click.echo(f"k          {rule_k}")
-        click.echo(f"trials     {sim.trials}")
-        click.echo(f"wins       {sim.wins}")
-        click.echo(f"estimate   {fmt_human(sim.estimate)} +/- {fmt_human(sim.std_error)}")
-        click.echo(f"exact      {fmt_human(exact)}")
-        click.echo(f"seed       {sim.seed}")
+        print(f"k          {rule_k}")
+        print(f"trials     {sim.trials}")
+        print(f"wins       {sim.wins}")
+        print(f"estimate   {fmt_human(sim.estimate)} +/- {fmt_human(sim.std_error)}")
+        print(f"exact      {fmt_human(exact)}")
+        print(f"seed       {sim.seed}")
+
+
+# ---------------------------------------------------------------- parser
+
+
+def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser, and the option strings that take a value."""
+    parser = argparse.ArgumentParser(
+        prog="oddsrule", add_help=False, allow_abbrev=False,
+        description="Optimal stopping on independent indicators: the odds rule, "
+        "its success probability, sharp bounds, and verification oracles.",
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.add_argument("--version", action="version", help="Show the version and exit.",
+                        version=f"oddsrule, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, run, *add_options) -> argparse.ArgumentParser:
+        doc = run.__doc__ or ""
+        sub = commands.add_parser(name, help=doc.partition("\n")[0], description=doc,
+                                  add_help=False, allow_abbrev=False)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.set_defaults(run=run, parser=sub)
+        for add in add_options:
+            add(sub)
+        return sub
+
+    command("analyze", analyze, add_input_options, add_format_option)
+    sub = command("secretary", secretary, add_format_option)
+    sub.add_argument("n", type=positive_int, metavar="N")
+    command("oracle-check", oracle_check, add_input_options, add_monte_carlo_options,
+            add_format_option)
+    sub = command("simulate", simulate, add_input_options, add_monte_carlo_options,
+                  add_format_option)
+    sub.add_argument("--k", type=int, help="Threshold index; defaults to the optimal s.")
+    sub = command("extremal", extremal_cmd, add_format_option)
+    sub.add_argument("family", choices=EXTREMAL_FAMILIES, metavar="FAMILY",
+                     help=f"One of {', '.join(EXTREMAL_FAMILIES)}.")
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--s", type=int)
+    sub.add_argument("--rs", type=float, help="Suffix odds sum (R_1 for case1).")
+    sub.add_argument("--alpha", type=float, help="Case-3 closeness parameter in (0, 1).")
+    sub = command("sweep", sweep)
+    sub.add_argument("--n", dest="n_spec", required=True, metavar="RANGE",
+                     help="Horizon values: '10', '2:50', '2:50:4' or '3,7,9'.")
+    sub.add_argument("--s", dest="s_spec", required=True, metavar="RANGE",
+                     help="Threshold values, same syntax.")
+    sub.add_argument("--rs", dest="rs_spec", required=True, metavar="GRID",
+                     help="Comma-separated R_s grid, e.g. '0.5,1,1.5,3'.")
+    sub.add_argument("--output", "-o", dest="output_path", required=True, metavar="PATH",
+                     help="CSV destination; '-' for stdout.")
+
+    takes_value = {option for sub in commands.choices.values() for action in sub._actions
+                   if action.nargs is None for option in action.option_strings}
+    return parser, takes_value
+
+
+def _attach_values(argv: list[str], takes_value: set[str]) -> list[str]:
+    """Rewrite 'OPTION VALUE' as 'OPTION=VALUE', so that a value starting
+    with '-' ('--rs -1,2') is not read as an option."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in takes_value else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the command named in ``argv`` (default ``sys.argv[1:]``); exits 2
+    on invalid input or usage, 3 on a failed internal check."""
+    parser, takes_value = _parser()
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv, takes_value))
+    try:
+        args.run(args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+    except UsageError as exc:
+        args.parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader went away (`| head`): exit quietly, and give the
+        # interpreter's last flush of stdout somewhere to go
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

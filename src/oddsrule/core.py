@@ -183,9 +183,11 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
     offending 1-based index) for bad entries, including entries float()
     rejects: OutOfRange for a number beyond float range such as 10**400,
     NotANumber for anything else (None, a complex, a non-numeric string).
-    InvalidArgument for a str, bytes or bytearray ``p`` (not read as entries).
+    InvalidArgument for a str, bytes or bytearray ``p`` (not read as entries),
+    a set or frozenset (it has no order) or an iterator (it can be read only
+    once).
     """
-    if isinstance(p, (str, bytes, bytearray)):
+    if isinstance(p, (str, bytes, bytearray, set, frozenset)) or iter(p) is p:
         raise InvalidArgument(f"need a sequence of probabilities, got {type(p).__name__}")
     try:
         probs = tuple(map(float, p))

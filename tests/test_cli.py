@@ -5,8 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import CliRunner
 from oddsrule import (
     bound_report,
     lower_extremal_case2,
@@ -23,8 +23,8 @@ def runner():
     return CliRunner()
 
 
-def invoke(runner, *args, **kwargs):
-    return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
+def invoke(runner, *args):
+    return runner.invoke(main, args)
 
 
 def _bits(doc):
@@ -278,6 +278,20 @@ class TestOracleCheck:
         assert doc["values"]["formula"] == 0.5
         assert abs(doc["values"]["exhaustive"] - 0.5) < 1e-15
 
+    @pytest.mark.parametrize("args", [["0.00001"], ["--format", "json", "1e-7"]])
+    def test_v_n_far_below_one_over_trials_agrees(self, runner, args):
+        # no trial wins, so the plug-in standard error is 0; the band is
+        # the standard error under the hypothesis p = V_n instead
+        res = invoke(runner, "oracle-check", *args)
+        assert res.exit_code == 0
+        assert res.stderr == ""
+        if "json" in args:
+            doc = json.loads(res.stdout)
+            assert doc["monte_carlo"]["wins"] == 0
+            assert doc["checks"]["monte_carlo"] is True
+        else:
+            assert "0 +/- 0   ok (4 se)" in res.stdout
+
 
 class TestSweep:
     def test_reference_row(self, runner, tmp_path):
@@ -373,6 +387,13 @@ class TestSweep:
         )
         assert res.exit_code == 2
 
+    def test_option_value_may_start_with_a_dash(self, runner):
+        # the value of --rs is the next token, as for every valued option
+        res = invoke(runner, "sweep", "--n", "5", "--s", "2", "--rs", "-1,1", "-o", "-")
+        assert res.exit_code == 0
+        assert len(res.stdout.splitlines()) == 2
+        assert "n=5 s=2 R_s=-1.0: need R_s >= 0" in res.stderr
+
     def test_stdout_dash(self, runner):
         res = invoke(runner, "sweep", "--n", "5", "--s", "2", "--rs", "1,2", "-o", "-")
         assert res.exit_code == 0
@@ -430,8 +451,8 @@ class TestSimulate:
     def test_deterministic(self, runner):
         args = ["simulate", "0,0,0.5,0,0", "--trials", "30000", "--seed", "7",
                 "--format", "json"]
-        a = runner.invoke(main, args, catch_exceptions=False)
-        b = runner.invoke(main, args, catch_exceptions=False)
+        a = runner.invoke(main, args)
+        b = runner.invoke(main, args)
         assert a.output == b.output
         doc = json.loads(a.output)
         assert doc["k"] == 3  # defaults to the optimal threshold
@@ -490,10 +511,10 @@ NUMPY_PROBE = """
 import sys
 import oddsrule
 import oddsrule.cli
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 def run(*args):
-    res = CliRunner().invoke(oddsrule.cli.main, list(args), catch_exceptions=False)
+    res = CliRunner().invoke(oddsrule.cli.main, args)
     assert res.exit_code == 0, res.output
 
 run("analyze", "--format", "json", "0.5,0.5")
@@ -503,21 +524,69 @@ run("oracle-check", "0.5,0.5")
 print("numpy" in sys.modules)
 """
 
+NO_CLICK_PROBE = """
+import sys
+sys.modules["click"] = None  # any import of click now raises ImportError
+import oddsrule.cli
+from cli_runner import CliRunner
+
+for args in [
+    ["analyze", "0.5,0.5"],
+    ["sweep", "--n", "6", "--s", "1:3", "--rs", "0.5,1,2", "-o", "-"],
+    ["extremal", "case2", "--n", "6", "--s", "3"],
+    ["oracle-check", "0.5,0.5"],
+    ["--version"],
+]:
+    res = CliRunner().invoke(oddsrule.cli.main, args)
+    print(args[0], res.exit_code)
+"""
+
+
+def _probe_env() -> dict:
+    """The environment of a fresh interpreter that imports from src/ and tests/."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")])
+    )
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_probe(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code], env=_probe_env(), capture_output=True, text=True, timeout=60
+    )
+
 
 def test_numpy_loaded_only_by_the_numpy_oracles():
     """Importing the package and the CLI, analyze and sweep leave numpy
     unloaded; oracle-check, which enumerates and simulates, loads it."""
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    res = _run_probe(NUMPY_PROBE)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False", "True"]
+
+
+def test_cli_runs_without_click():
+    """The front end needs only the standard library: with click blocked,
+    every command still runs and exits 0."""
+    res = _run_probe(NO_CLICK_PROBE)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "analyze 0", "sweep 0", "extremal 0", "oracle-check 0", "--version 0"
+    ]
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    """A reader that goes away (`| head`) ends the command quietly."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oddsrule.cli", "secretary", "2000", "--format", "json"],
+        env=_probe_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # before the interpreter has started: every write fails
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -533,10 +602,27 @@ S_EQUALS_N_20 = ",".join([repr(j / 40) for j in range(1, 20)] + ["0.75"])
             "simulate_secretary_300.json",
             ["simulate", "--format", "json", "--secretary", "300", "--trials", "20000"],
         ),
+        ("analyze_inline.txt", ["analyze", "0.1,0.5,1,0.25,0.2"]),
+        ("analyze_inline.json", ["analyze", "--format", "json", "0.1,0.5,1,0.25,0.2"]),
+        ("secretary_10.txt", ["secretary", "10"]),
+        ("extremal_case2_n6_s3.txt", ["extremal", "case2", "--n", "6", "--s", "3"]),
+        (
+            "extremal_case2_n6_s3.json",
+            ["extremal", "case2", "--n", "6", "--s", "3", "--format", "json"],
+        ),
+        (
+            "sweep_inconsistent.csv",
+            ["sweep", "--n", "5", "--s", "2,7", "--rs", "0.5,1,-1,2.5", "-o", "-"],
+        ),
+        ("version.txt", ["--version"]),
     ],
 )
 def test_stdout_matches_golden_file(runner, name, args):
-    """The exhaustive and Monte Carlo outputs, byte for byte as frozen."""
+    """The CLI's outputs, byte for byte as frozen; where a NAME.stderr
+    file sits beside the golden file, stderr too."""
     res = invoke(runner, *args)
     assert res.exit_code == 0
     assert res.stdout == (GOLDEN / name).read_text()
+    stderr = GOLDEN / f"{name}.stderr"
+    if stderr.exists():
+        assert res.stderr == stderr.read_text()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from exact_oracle import exact_threshold, exact_win, exact_window_win
@@ -72,6 +73,23 @@ class TestValidate:
 
     def test_numeric_strings_in_a_list_stay_accepted(self):
         assert validate_probabilities(["0.5", "0.25"]).p == (0.5, 0.25)
+
+    @pytest.mark.parametrize("p", [{0.9, 0.1, 0.5}, frozenset({0.9, 0.1, 0.5})],
+                             ids=["set", "frozenset"])
+    def test_rejects_a_set(self, p):
+        # iterated in hash order, (0.9, 0.5, 0.1), which decides the threshold
+        with pytest.raises(InvalidArgument, match="got (set|frozenset)"):
+            validate_probabilities(p)
+
+    @pytest.mark.parametrize("p", [[0.5, None], [0.5, 0.25]], ids=["bad_entry", "good"])
+    def test_rejects_a_one_shot_iterator(self, p):
+        # a bad entry could not be named: the second walk finds nothing left
+        with pytest.raises(InvalidArgument, match="got generator"):
+            validate_probabilities(x for x in p)
+
+    @pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "array"])
+    def test_lists_tuples_and_arrays_stay_accepted(self, container):
+        assert validate_probabilities(container([0.5, 0.25, 1.0])).p == (0.5, 0.25, 1.0)
 
     def test_suffix_sums_nonincreasing(self):
         seq = validate_probabilities([0.1, 0.9, 0.0, 0.4, 0.4])

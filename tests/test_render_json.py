@@ -5,8 +5,8 @@ import math
 import random
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import CliRunner
 from oddsrule import validate_probabilities
 from oddsrule.cli import _analysis_document, main, render_json
 
@@ -112,9 +112,7 @@ def test_analyze_file_output(tmp_path):
     probs[5000:5010] = [0.0] * 10
     path = tmp_path / "probs.json"
     path.write_text(json.dumps({"p": probs}), encoding="utf-8")
-    res = CliRunner().invoke(
-        main, ["analyze", "--format", "json", "--file", str(path)], catch_exceptions=False
-    )
+    res = CliRunner().invoke(main, ["analyze", "--format", "json", "--file", str(path)])
     assert res.exit_code == 0
     expected = reference_render(_analysis_document(validate_probabilities(probs)))
     assert res.stdout == expected + "\n"
