@@ -19,7 +19,6 @@ from .core import (
     ThresholdResult,
     WinProbability,
     odds_to_prob,
-    prob_to_odds,
     secretary_sequence,
     threshold,
     validate_probabilities,
@@ -87,7 +86,6 @@ __all__ = [
     "lower_near_extremal_case3",
     "monte_carlo",
     "odds_to_prob",
-    "prob_to_odds",
     "secretary_sequence",
     "threshold",
     "threshold_rule_value",

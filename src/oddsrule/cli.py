@@ -163,7 +163,10 @@ def _parse_file(path: str) -> list[float]:
             p = json.loads(text)["p"]
             if not isinstance(p, list):
                 raise ValueError(f'"p" must be a JSON array, got {type(p).__name__}')
-            return [float(x) for x in p]
+            if bool in map(type, p):  # float() would read true and false as 1 and 0
+                i = [type(x) for x in p].index(bool)
+                raise ValueError(f"entry {i + 1} is {json.dumps(p[i])}, not a number")
+            return list(map(float, p))
         return [float(line) for line in text.splitlines() if line.strip()]
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"cannot parse {path}: {exc}")
@@ -635,7 +638,13 @@ def main(argv: list[str] | None = None) -> None:
     """Run the command named in ``argv`` (default ``sys.argv[1:]``); exits 2
     on invalid input or usage, 3 on a failed internal check."""
     parser, takes_value = _parser()
-    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv, takes_value))
+    argv = _attach_values(sys.argv[1:] if argv is None else argv, takes_value)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # an unknown option before the command is the top-level parser's;
+        # anything after it is the command's
+        (parser if argv[0].startswith("-") else args.parser).error(
+            f"unrecognized arguments: {' '.join(extra)}")
     try:
         args.run(args)
         sys.stdout.flush()  # here, so that a closed pipe is caught below

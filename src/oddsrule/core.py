@@ -11,7 +11,8 @@ index ``s`` or later, and its success probability is
 
 This module builds the validated sequence (odds and suffix sums included),
 locates the threshold, and evaluates V_n by one formula, with the
-odds-ratio form R_s / prod(1 + r_j) attached as a cross-check.
+odds-ratio form R_s / prod(1 + r_j) attached as a cross-check.  Each
+sequence computes its threshold and V_n once, on first use.
 
 All public indices are 1-based, matching the usual mathematical
 convention; the tuples stored on the dataclasses are ordinary 0-based
@@ -24,6 +25,7 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, islice, repeat
 from typing import Sequence
 
@@ -38,15 +40,8 @@ BOUNDARY_EPS = 1e-9
 GRID_MIN_LEN = 11
 
 
-def prob_to_odds(p: float) -> float:
-    """Odds p/(1-p); +inf for a sure success (p = 1)."""
-    if p >= 1.0:
-        return math.inf
-    return p / (1.0 - p)
-
-
 def odds_to_prob(r: float) -> float:
-    """Inverse of :func:`prob_to_odds`: r/(1+r), with inf mapping to 1."""
+    """Probability r/(1+r) of odds r, with inf mapping to 1."""
     if math.isinf(r):
         return 1.0
     return r / (1.0 + r)
@@ -77,9 +72,13 @@ class OddsSequence:
 
     Other inputs, and sequences shorter than ``GRID_MIN_LEN``, take a
     per-entry loop that keeps the sum in units of the largest denominator
-    seen so far; both give the same bits.  Instances are immutable and
-    safe to share between threads; construct them via
-    :func:`validate_probabilities`.
+    seen so far; both give the same bits.
+
+    The threshold and V_n are memos filled on first use, not fields, so
+    ``==``, ``hash`` and ``dataclasses.replace`` see only ``p``, ``r`` and
+    ``R``.  Instances are safe to share between threads: threads that race
+    to fill a memo (unlocked from Python 3.12 on) compute equal values.
+    Construct them via :func:`validate_probabilities`.
     """
 
     p: tuple[float, ...]
@@ -89,6 +88,19 @@ class OddsSequence:
     @property
     def n(self) -> int:
         return len(self.p)
+
+    @cached_property
+    def _threshold(self) -> ThresholdResult:
+        # R_1..R_m >= 1 > R_{m+1}..R_n; on -R that is a bisect_right for -1
+        s = max(1, bisect.bisect_right(self.R, -1.0, key=operator.neg))
+        boundary = any(
+            math.isfinite(x) and abs(x - 1.0) < BOUNDARY_EPS for x in self.R[s - 1 : s + 1]
+        )
+        return ThresholdResult(s=s, R_s=self.R[s - 1], boundary_flag=boundary)
+
+    @cached_property
+    def _win_probability(self) -> WinProbability:
+        return _win_probability_at(self, self._threshold.s)
 
 
 @dataclass(frozen=True)
@@ -203,18 +215,21 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
         raise
     if not probs:
         raise EmptySequence("need at least one probability")
-    for x in probs:
-        if not 0.0 <= x <= 1.0:
-            # x is the first entry to fail; the entries before it lie in
-            # [0, 1], so none equals x, and index() (identity first) finds
-            # x itself even when it is a NaN
-            i = probs.index(x) + 1
-            raise (NotANumber if math.isnan(x) or math.isinf(x) else OutOfRange)(i, x)
-    # prob_to_odds inlined: a call per entry costs more than the division.
-    # p and r are built as tuples and the lists freed at once, so no list
-    # copy of them is alive while R is built.
-    odds = tuple([x / (1.0 - x) if x < 1.0 else math.inf for x in probs])
+    # The range check rides in the odds pass.  p and r are built as tuples
+    # and the lists freed at once, so no list copy of them is alive while R
+    # is built.
+    odds = tuple([x / (1.0 - x) if 0.0 <= x < 1.0 else _odds_outside(probs, x) for x in probs])
     return OddsSequence(p=probs, r=odds, R=tuple(_suffix_odds_sums(odds)))
+
+
+def _odds_outside(probs: tuple[float, ...], x: float) -> float:
+    # +inf for a sure success, else x is the first entry outside [0, 1]:
+    # none before it equals x, and index() (identity first) finds x itself
+    # even when it is a NaN.
+    if x == 1.0:
+        return math.inf
+    i = probs.index(x) + 1
+    raise (NotANumber if math.isnan(x) or math.isinf(x) else OutOfRange)(i, x)
 
 
 def threshold(seq: OddsSequence) -> ThresholdResult:
@@ -223,14 +238,10 @@ def threshold(seq: OddsSequence) -> ThresholdResult:
     The comparison is exact IEEE >=, no epsilon; ``boundary_flag`` is the
     advertised sensitivity warning.  R does not increase with l, so s is
     found by bisection, and the finite sums closest to 1 are R_s and
-    R_{s+1}: only those two decide the flag.
+    R_{s+1}: only those two decide the flag.  Computed once per sequence;
+    threads that race on the first call compute equal results.
     """
-    # R_1..R_m >= 1 > R_{m+1}..R_n; on -R that is a bisect_right for -1
-    s = max(1, bisect.bisect_right(seq.R, -1.0, key=operator.neg))
-    boundary = any(
-        math.isfinite(x) and abs(x - 1.0) < BOUNDARY_EPS for x in seq.R[s - 1 : s + 1]
-    )
-    return ThresholdResult(s=s, R_s=seq.R[s - 1], boundary_flag=boundary)
+    return seq._threshold
 
 
 def win_probability(seq: OddsSequence, t: ThresholdResult) -> WinProbability:
@@ -245,8 +256,14 @@ def win_probability(seq: OddsSequence, t: ThresholdResult) -> WinProbability:
 
     Raises IndexOutOfRange when s is outside [1, n] and InvalidArgument
     when R_{s+1} >= 1, i.e. when ``t`` is not the threshold of ``seq``.
+    At the threshold of ``seq`` it is computed once per sequence.
     """
-    s = t.s
+    if t.s == seq._threshold.s:
+        return seq._win_probability
+    return _win_probability_at(seq, t.s)
+
+
+def _win_probability_at(seq: OddsSequence, s: int) -> WinProbability:
     if not 1 <= s <= seq.n:
         raise IndexOutOfRange(s, seq.n)
     R_next = seq.R[s] if s < seq.n else 0.0

@@ -9,10 +9,11 @@ behaviour) with the library's floating-point paths.
 full_enumeration_value is the float reference for the bits of
 oracle.exhaustive_value.
 
-The float helpers are log_product_gap (which raises NegativeInput), the
-gap in ln prod(1 + x_j) >= ln(1 + sum x_j); equal_odds_sequence, a probe
-profile whose nominal threshold is self-contradictory; and prior_bounds,
-the two sum-free bounds of oddsrule.bound_report under their old names.
+The float helpers are prob_to_odds, the odds p/(1-p) of one entry;
+log_product_gap (which raises NegativeInput), the gap in
+ln prod(1 + x_j) >= ln(1 + sum x_j); equal_odds_sequence, a probe profile
+whose nominal threshold is self-contradictory; and prior_bounds, the two
+sum-free bounds of oddsrule.bound_report under their old names.
 """
 
 from __future__ import annotations
@@ -118,6 +119,13 @@ def full_enumeration_value(seq, k: int) -> float:
         weights = np.concatenate((weights * (1.0 - p_j), weights * p_j))
         successes = np.concatenate((successes, successes + (j >= k - 1)))
     return math.fsum(weights[successes == 1].tolist())
+
+
+def prob_to_odds(p: float) -> float:
+    """Odds p/(1-p); +inf for a sure success (p = 1)."""
+    if p >= 1.0:
+        return math.inf
+    return p / (1.0 - p)
 
 
 class NegativeInput(ValueError):

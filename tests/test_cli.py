@@ -173,6 +173,21 @@ class TestAnalyze:
         assert res.stdout == ""
         assert f"cannot parse {path}" in res.stderr
 
+    @pytest.mark.parametrize(
+        "text, entry",
+        [('{"p": [true, false, 0.5]}', "entry 1 is true"), ('{"p": [0.5, "0.25", false]}',
+                                                            "entry 3 is false")],
+        ids=["true", "false"],
+    )
+    def test_file_json_boolean_exits_2(self, runner, tmp_path, text, entry):
+        # float() would read true and false as 1 and 0
+        path = tmp_path / "probs.json"
+        path.write_text(text)
+        res = invoke(runner, "analyze", "--file", str(path))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"cannot parse {path}: {entry}, not a number" in res.stderr
+
     def test_infinite_sums_render_as_strings(self, runner):
         res = invoke(runner, "analyze", "1,0.2", "--format", "json")
         assert res.exit_code == 0
@@ -505,6 +520,33 @@ def test_extremal_keys_must_fit_the_family(runner, args):
     assert "Traceback" not in res.output
     if args[0] == "analyze":
         assert "bad extremal spec" in res.output
+
+
+@pytest.mark.parametrize(
+    "args, extra",
+    [
+        (("analyze", "0.5", "0.3"), "0.3"),
+        (("analyze", "--form", "json", "0.5"), "--form 0.5"),
+        (("secretary", "5", "6"), "6"),
+        (("sweep", "--n", "3", "--s", "1", "--rs", "1", "-o", "-", "extra"), "extra"),
+    ],
+    ids=["analyze_extra_value", "analyze_unknown_option", "secretary", "sweep"],
+)
+def test_leftover_arguments_are_reported_by_the_command(runner, args, extra):
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"usage: oddsrule {args[0]} [--help]")
+    assert res.stderr.endswith(f"oddsrule {args[0]}: error: unrecognized arguments: {extra}\n")
+
+
+def test_unknown_option_before_the_command_is_reported_at_the_top(runner):
+    res = invoke(runner, "--bogus", "analyze", "0.5")
+    assert res.exit_code == 2
+    assert res.stderr == (
+        "usage: oddsrule [--help] [--version] COMMAND ...\n"
+        "oddsrule: error: unrecognized arguments: --bogus\n"
+    )
 
 
 NUMPY_PROBE = """

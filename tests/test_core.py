@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from exact_oracle import exact_threshold, exact_win, exact_window_win
+from exact_oracle import exact_threshold, exact_win, exact_window_win, prob_to_odds
 from oddsrule import (
     EmptySequence,
     IndexOutOfRange,
@@ -11,9 +13,9 @@ from oddsrule import (
     NotANumber,
     OutOfRange,
     ThresholdResult,
+    bound_report,
     lindley_threshold,
     odds_to_prob,
-    prob_to_odds,
     secretary_sequence,
     threshold,
     validate_probabilities,
@@ -70,6 +72,24 @@ class TestValidate:
         # float() of each character or byte value would give p = (1, 0)
         with pytest.raises(InvalidArgument):
             validate_probabilities(p)
+
+    @pytest.mark.parametrize(
+        "probs, error, index",
+        [
+            ([1.0, math.nan], NotANumber, 2),
+            ([1.0, 1.5], OutOfRange, 2),
+            ([math.nan, 0.5, 1.0, 1.5], NotANumber, 1),
+            ([1.0, 1.0, -0.0, -0.5, math.inf], OutOfRange, 4),
+        ],
+        ids=["sure_then_nan", "sure_then_above_one", "nan_first", "sure_and_minus_zero_first"],
+    )
+    def test_first_bad_entry_after_a_sure_success(self, probs, error, index):
+        # p = 1 passes the range check inside the odds pass; the next bad
+        # entry is still the one named
+        with pytest.raises(error) as err:
+            validate_probabilities(probs)
+        assert err.value.index == index
+        assert str(err.value) == str(error(index, probs[index - 1]))
 
     def test_numeric_strings_in_a_list_stay_accepted(self):
         assert validate_probabilities(["0.5", "0.25"]).p == (0.5, 0.25)
@@ -251,6 +271,74 @@ class TestWinProbability:
         seq, s, want = large_near_tie
         w = win_probability(seq, threshold(seq))
         assert abs(w.value - want) <= 1e-15
+
+
+class CountingTuple(tuple):
+    """A tuple that counts the slices taken of it: the window reads."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.slices += 1
+        return super().__getitem__(key)
+
+
+class TestMemo:
+    def test_window_is_evaluated_once(self):
+        seq = validate_probabilities([0.1, 0.4, 0.3, 0.2, 0.25])
+        seq = dataclasses.replace(seq, p=CountingTuple(seq.p), r=CountingTuple(seq.r))
+        t = threshold(seq)
+        w = win_probability(seq, t)
+        report = bound_report(seq)
+        assert threshold(seq) is t
+        assert win_probability(seq, threshold(seq)) is w
+        assert (report.s, report.v_n, report.product_form) == (t.s, w.value, w.product_form)
+        # one read of p[s:] for the value, one of r[s-1:] for the product form
+        assert (seq.p.slices, seq.r.slices) == (1, 1)
+
+    def test_filled_memo_leaves_equality_hash_and_pickle_alone(self):
+        probs = [0.1, 0.4, 0.3, 0.2]
+        seq, fresh = validate_probabilities(probs), validate_probabilities(probs)
+        bound_report(seq)
+        assert [field.name for field in dataclasses.fields(seq)] == ["p", "r", "R"]
+        assert seq == fresh
+        assert hash(seq) == hash(fresh)
+        assert repr(seq) == repr(fresh)
+        for copy in (pickle.loads(pickle.dumps(seq)), pickle.loads(pickle.dumps(fresh))):
+            assert copy == fresh
+            assert hash(copy) == hash(fresh)
+            assert threshold(copy) == threshold(fresh)
+            assert win_probability(copy, threshold(copy)) == win_probability(fresh, threshold(fresh))
+
+    def test_replaced_sequence_recomputes(self):
+        seq = validate_probabilities([0.1, 0.4, 0.3, 0.2])
+        w = win_probability(seq, threshold(seq))
+        other = validate_probabilities([0.6, 0.1, 0.1])
+        moved = dataclasses.replace(seq, p=other.p, r=other.r, R=other.R)
+        assert moved == other
+        assert threshold(moved) == threshold(other)
+        assert threshold(moved).s != threshold(seq).s
+        assert win_probability(moved, threshold(moved)) == win_probability(other, threshold(other))
+        assert win_probability(moved, threshold(moved)) != w
+        # and the original keeps its own
+        assert win_probability(seq, threshold(seq)) is w
+
+    def test_other_s_after_the_memo_is_filled(self):
+        seq = validate_probabilities([0.5, 0.5, 0.1])  # R = (2.11.., 1.11.., 0.11..): s = 2
+        t = threshold(seq)
+        w = win_probability(seq, t)
+        assert t.s == 2
+        with pytest.raises(InvalidArgument, match="s = 1 is not the threshold"):
+            win_probability(seq, ThresholdResult(s=1, R_s=seq.R[0], boundary_flag=False))
+        for s in (0, 4):
+            with pytest.raises(IndexOutOfRange):
+                win_probability(seq, ThresholdResult(s=s, R_s=1.0, boundary_flag=False))
+        # a later index with R_{s+1} < 1 is evaluated, not read from the memo
+        late = win_probability(seq, ThresholdResult(s=3, R_s=seq.R[2], boundary_flag=False))
+        assert (late.value, late.product_form) == (0.1, seq.R[2] / (1.0 + seq.r[2]))
+        assert threshold(seq) is t
+        assert win_probability(seq, t) is w
 
 
 class TestSecretary:

@@ -15,6 +15,8 @@ from exact_oracle import (
     log_product_gap,
 )
 from oddsrule import (
+    NotANumber,
+    OutOfRange,
     bound_report,
     dp_optimal_value,
     exhaustive_value,
@@ -215,6 +217,64 @@ def test_threshold_matches_linear_scan_on_near_tie_families():
             seq = validate_probabilities(probs)
             t = threshold(seq)
             assert (t.s, t.R_s, t.boundary_flag) == scan_threshold(seq), probs
+
+
+def window_formula(seq, s):
+    """(V_n, product_form) at s, evaluated afresh by the formula that
+    win_probability documents: the reference for its memo."""
+    p_s = seq.p[s - 1]
+    R_next = seq.R[s] if s < seq.n else 0.0
+    survive = math.exp(math.fsum(math.log1p(-x) for x in seq.p[s:]))
+    value = survive * (p_s + (1.0 - p_s) * R_next)
+    product_form = (
+        None if p_s == 1.0 else seq.R[s - 1] / math.prod(1.0 + x for x in seq.r[s - 1 :])
+    )
+    return value, product_form
+
+
+def _hex(*xs):
+    return [None if x is None else float(x).hex() for x in xs]
+
+
+@given(st.one_of(wide_prob_lists, near_ties))
+@example([1.0])
+@example([-0.0, 0.0, 5e-324, 1.0, 0.5])
+@example([0.0, 0.3] + [1 / 9] * 8)
+def test_memo_bits_equal_a_fresh_evaluation(probs):
+    seq = validate_probabilities(probs)
+    assert _hex(*seq.r) == _hex(*(x / (1.0 - x) if x < 1.0 else math.inf for x in probs))
+    t = threshold(seq)
+    w = win_probability(seq, t)
+    report = bound_report(seq)
+    assert (t.s, t.R_s, t.boundary_flag) == scan_threshold(seq)
+    assert (report.s, report.R_s, report.boundary_flag) == (t.s, t.R_s, t.boundary_flag)
+    expected = _hex(*window_formula(seq, t.s))
+    assert _hex(w.value, w.product_form) == expected
+    assert _hex(report.v_n, report.product_form) == expected
+    # a report on a sequence whose memo is still empty has the same bits
+    assert repr(bound_report(validate_probabilities(probs))) == repr(report)
+
+
+bad_entries = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 1.5]),
+    st.floats(max_value=-5e-324),
+    st.floats(min_value=1.0, exclude_min=True),
+)
+
+
+@given(st.lists(st.one_of(wide_probabilities, bad_entries), min_size=1, max_size=30))
+def test_first_entry_outside_the_unit_interval_is_named(probs):
+    bad = [i for i, x in enumerate(probs, 1) if not 0.0 <= x <= 1.0]
+    if not bad:
+        assert validate_probabilities(probs).p == tuple(probs)
+        return
+    i = bad[0]
+    x = probs[i - 1]
+    error = NotANumber if math.isnan(x) or math.isinf(x) else OutOfRange
+    with pytest.raises(error) as err:
+        validate_probabilities(probs)
+    assert err.value.index == i
+    assert str(err.value) == str(error(i, x))
 
 
 @given(prob_lists)
