@@ -134,7 +134,7 @@ def bound_report(seq: OddsSequence) -> BoundReport:
     low = lower_bound(seq.n, t.s, t.R_s)
     cor = corollary_bound(seq.n, t.s)
     corollary_applicable = t.s >= 2
-    e_bound_applicable = seq.R[0] >= 1.0
+    e_bound_applicable = t.R_s >= 1.0  # the same boolean as R_1 >= 1
     allaart_islas = math.exp(seq.n * math.log1p(-1.0 / (seq.n + 1)))
 
     # One row per bound, in report order: (bound id, value, applies).

@@ -9,10 +9,11 @@ index ``s`` or later, and its success probability is
 
     V_n = prod_{j=s..n} (1 - p_j) * sum_{l=s..n} r_l.
 
-This module builds the validated sequence (odds and suffix sums included),
+This module builds the validated sequence (probabilities and odds),
 locates the threshold, and evaluates V_n by one formula, with the
 odds-ratio form R_s / prod(1 + r_j) attached as a cross-check.  Each
-sequence computes its threshold and V_n once, on first use.
+sequence computes its threshold and V_n once, on first use, and builds
+the full tuple of suffix sums only when it is read.
 
 All public indices are 1-based, matching the usual mathematical
 convention; the tuples stored on the dataclasses are ordinary 0-based
@@ -39,6 +40,11 @@ BOUNDARY_EPS = 1e-9
 # what its C-level passes save.
 GRID_MIN_LEN = 11
 
+# The threshold's float guess reads the running sums of the odds in
+# chunks of this many: large enough for C-level passes, small enough
+# that a chunk past the first sum >= 1 costs nothing measurable.
+GUESS_CHUNK = 1024
+
 
 def odds_to_prob(r: float) -> float:
     """Probability r/(1+r) of odds r, with inf mapping to 1."""
@@ -49,15 +55,18 @@ def odds_to_prob(r: float) -> float:
 
 @dataclass(frozen=True)
 class OddsSequence:
-    """Validated success probabilities with derived odds and suffix sums.
+    """Validated success probabilities with their odds.
 
-    ``r[j]`` is the odds of entry ``j`` (+inf where p = 1) and ``R[l-1]``
-    holds the suffix sum ``r_l + ... + r_n``: the exact sum of the stored
-    odds rounded once to nearest (half to even), +inf when a sure success
-    lies at or after ``l``.
+    ``r[j]`` is the odds of entry ``j`` (+inf where p = 1).  ``R[l-1]``
+    holds the suffix sum ``R_l = r_l + ... + r_n``: the exact sum of the
+    stored odds rounded once to nearest (half to even), +inf when a sure
+    success lies at or after ``l``.  ``R`` is built on first read, not at
+    validation: the threshold, V_n and the bounds need only the two sums
+    at the threshold, which they take from ``math.fsum`` (correctly
+    rounded, so the same bits as ``R``).
 
-    The finite sums are exact integer sums on one binary grid when the
-    finite odds allow it.  Let ``e_min`` and ``e_max`` be the
+    The finite sums of ``R`` are exact integer sums on one binary grid
+    when the finite odds allow it.  Let ``e_min`` and ``e_max`` be the
     ``math.frexp`` exponents of the smallest nonzero and the largest
     finite odds, and ``K = 53 - e_min``:
 
@@ -74,33 +83,77 @@ class OddsSequence:
     per-entry loop that keeps the sum in units of the largest denominator
     seen so far; both give the same bits.
 
-    The threshold and V_n are memos filled on first use, not fields, so
-    ``==``, ``hash`` and ``dataclasses.replace`` see only ``p``, ``r`` and
-    ``R``.  Instances are safe to share between threads: threads that race
-    to fill a memo (unlocked from Python 3.12 on) compute equal values.
-    Construct them via :func:`validate_probabilities`.
+    ``R``, the threshold and V_n are memos filled on first use, not
+    fields, so ``==``, ``hash`` and ``dataclasses.replace`` see only ``p``
+    and ``r``.  Instances are safe to share between threads: threads that
+    race to fill a memo (unlocked from Python 3.12 on) compute equal
+    values.  Construct them via :func:`validate_probabilities`.
     """
 
     p: tuple[float, ...]
     r: tuple[float, ...]
-    R: tuple[float, ...]
 
     @property
     def n(self) -> int:
         return len(self.p)
 
     @cached_property
-    def _threshold(self) -> ThresholdResult:
-        # R_1..R_m >= 1 > R_{m+1}..R_n; on -R that is a bisect_right for -1
-        s = max(1, bisect.bisect_right(self.R, -1.0, key=operator.neg))
-        boundary = any(
-            math.isfinite(x) and abs(x - 1.0) < BOUNDARY_EPS for x in self.R[s - 1 : s + 1]
-        )
-        return ThresholdResult(s=s, R_s=self.R[s - 1], boundary_flag=boundary)
+    def R(self) -> tuple[float, ...]:
+        return tuple(_suffix_odds_sums(self.r))
+
+    @cached_property
+    def _threshold(self) -> tuple[ThresholdResult, float]:
+        # The threshold and R_{s+1} (0.0 at s = n).  R_l >= 1 holds for
+        # l <= s and fails after, so a float running sum from the back
+        # guesses s and correctly rounded probes of R_l confirm the guess,
+        # or gallop from it by doubling steps and bisect the bracket.
+        r, n = self.r, len(self.r)
+        sums = {n + 1: 0.0}
+
+        def R_at(l: int) -> float:
+            if l not in sums:
+                sums[l] = _suffix_sum(r, l)
+            return sums[l]
+
+        # The guess is where the running sum first reaches 1 (0: never).
+        # Adding odds >= 0 never lowers a rounded sum, so the running sums
+        # are sorted and are bisected for 1 a chunk at a time.
+        running, below = accumulate(reversed(r)), 0
+        while chunk := list(islice(running, GUESS_CHUNK)):
+            below += bisect.bisect_left(chunk, 1.0)
+            if chunk[-1] >= 1.0:
+                break
+        guess = n - below
+        lo, hi, step = 0, n + 1, 1  # lo is 0 or has R_lo >= 1; R_hi < 1
+        if guess == 0 or R_at(guess) >= 1.0:
+            lo = guess
+            while guess + step < hi:
+                if R_at(guess + step) < 1.0:
+                    hi = guess + step
+                    break
+                lo, step = guess + step, 2 * step
+        else:
+            hi = guess
+            while guess - step > lo:
+                if R_at(guess - step) >= 1.0:
+                    lo = guess - step
+                    break
+                hi, step = guess - step, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if R_at(mid) >= 1.0:
+                lo = mid
+            else:
+                hi = mid
+        s = max(lo, 1)
+        R_s, R_next = R_at(s), R_at(s + 1)
+        boundary = any(math.isfinite(x) and abs(x - 1.0) < BOUNDARY_EPS for x in (R_s, R_next))
+        return ThresholdResult(s=s, R_s=R_s, boundary_flag=boundary), R_next
 
     @cached_property
     def _win_probability(self) -> WinProbability:
-        return _win_probability_at(self, self._threshold.s)
+        t, R_next = self._threshold
+        return _win_probability_at(self, t.s, t.R_s, R_next)
 
 
 @dataclass(frozen=True)
@@ -131,10 +184,17 @@ class WinProbability:
     product_form: float | None
 
 
+def _suffix_sum(odds: tuple[float, ...], l: int) -> float:
+    # R_l, with R_{n+1} = 0.  fsum is correctly rounded (half to even), so
+    # these are the bits of R[l-1]; + 0.0 turns an all-zero tail's sum into
+    # +0.0, as in R, whatever sign of zero fsum returns.
+    return math.fsum(odds[l - 1 :]) + 0.0
+
+
 def _suffix_odds_sums(odds: tuple[float, ...]) -> list[float]:
     # Right-to-left exact summation, so every stored suffix sum is the true
-    # sum rounded once.  The threshold comparison R_l >= 1 is taken on these
-    # correctly rounded values; an ordinary running sum can land on the
+    # sum rounded once, the same bits as _suffix_sum, on which the threshold
+    # comparison R_l >= 1 is taken; an ordinary running sum can land on the
     # wrong side of 1.  Odds are >= 0, so the only non-finite value is a
     # sure success's +inf, which makes its own and every earlier suffix sum
     # inf.  The finite tail after the last sure success is summed on one
@@ -189,7 +249,8 @@ def _loop_suffix_sums(odds: tuple[float, ...]) -> list[float]:
 
 
 def validate_probabilities(p: Sequence[float]) -> OddsSequence:
-    """Check p_1..p_n and materialize odds and suffix odds sums.
+    """Check p_1..p_n and materialize their odds; the suffix sums ``R``
+    are built when first read.
 
     Raises EmptySequence for n = 0, NotANumber / OutOfRange (with the
     offending 1-based index) for bad entries, including entries float()
@@ -215,11 +276,9 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
         raise
     if not probs:
         raise EmptySequence("need at least one probability")
-    # The range check rides in the odds pass.  p and r are built as tuples
-    # and the lists freed at once, so no list copy of them is alive while R
-    # is built.
+    # The range check rides in the odds pass.
     odds = tuple([x / (1.0 - x) if 0.0 <= x < 1.0 else _odds_outside(probs, x) for x in probs])
-    return OddsSequence(p=probs, r=odds, R=tuple(_suffix_odds_sums(odds)))
+    return OddsSequence(p=probs, r=odds)
 
 
 def _odds_outside(probs: tuple[float, ...], x: float) -> float:
@@ -235,13 +294,17 @@ def _odds_outside(probs: tuple[float, ...], x: float) -> float:
 def threshold(seq: OddsSequence) -> ThresholdResult:
     """Largest l with R_l >= 1, or 1 when no suffix sum reaches 1.
 
-    The comparison is exact IEEE >=, no epsilon; ``boundary_flag`` is the
-    advertised sensitivity warning.  R does not increase with l, so s is
-    found by bisection, and the finite sums closest to 1 are R_s and
-    R_{s+1}: only those two decide the flag.  Computed once per sequence;
-    threads that race on the first call compute equal results.
+    The comparison is exact IEEE >= on the correctly rounded R_l, no
+    epsilon; ``boundary_flag`` is the advertised sensitivity warning.  s
+    is guessed where a float running sum of the odds from the back first
+    reaches 1, and confirmed by ``math.fsum`` of the tail at s and s + 1;
+    a wrong guess is corrected by galloping from it and bisecting, so at
+    most 2*ceil(log2 n) + 4 tails are summed and ``seq.R`` is not built.
+    R does not increase with l, so the finite sums closest to 1 are R_s
+    and R_{s+1}: only those two decide the flag.  Computed once per
+    sequence; threads that race on the first call compute equal results.
     """
-    return seq._threshold
+    return seq._threshold[0]
 
 
 def win_probability(seq: OddsSequence, t: ThresholdResult) -> WinProbability:
@@ -252,28 +315,35 @@ def win_probability(seq: OddsSequence, t: ThresholdResult) -> WinProbability:
     threshold R_{s+1} < 1, so no later p_j is 1 and the product lies in
     [1/e, 1]; a sure success at p_s needs no special case.
     ``product_form`` is the odds-ratio cross-check R_s / prod(1 + r_j),
-    None when p_s = 1.
+    None when p_s = 1.  R_s and R_{s+1} come from the threshold's memo at
+    the threshold of ``seq`` and from ``math.fsum`` of the tail elsewhere;
+    ``seq.R`` is not built.
 
-    Raises IndexOutOfRange when s is outside [1, n] and InvalidArgument
-    when R_{s+1} >= 1, i.e. when ``t`` is not the threshold of ``seq``.
-    At the threshold of ``seq`` it is computed once per sequence.
+    Raises InvalidArgument when s is not an integer (``operator.index``
+    refuses it), IndexOutOfRange when s is outside [1, n] and
+    InvalidArgument when R_{s+1} >= 1, i.e. when ``t`` is not the
+    threshold of ``seq``.  At the threshold of ``seq`` it is computed once
+    per sequence.
     """
-    if t.s == seq._threshold.s:
+    try:
+        s = operator.index(t.s)
+    except TypeError:
+        raise InvalidArgument(f"s must be an integer, got {t.s!r}") from None
+    if s == seq._threshold[0].s:
         return seq._win_probability
-    return _win_probability_at(seq, t.s)
-
-
-def _win_probability_at(seq: OddsSequence, s: int) -> WinProbability:
     if not 1 <= s <= seq.n:
         raise IndexOutOfRange(s, seq.n)
-    R_next = seq.R[s] if s < seq.n else 0.0
+    return _win_probability_at(seq, s, _suffix_sum(seq.r, s), _suffix_sum(seq.r, s + 1))
+
+
+def _win_probability_at(seq: OddsSequence, s: int, R_s: float, R_next: float) -> WinProbability:
     if R_next >= 1.0:
         raise InvalidArgument(f"s = {s} is not the threshold: R_{s + 1} >= 1")
     p_s = seq.p[s - 1]
-    survive = math.exp(math.fsum(math.log1p(-x) for x in seq.p[s:]))
+    survive = math.exp(math.fsum(map(math.log1p, map(operator.neg, seq.p[s:]))))
     value = survive * (p_s + (1.0 - p_s) * R_next)
     product_form = (
-        None if p_s == 1.0 else seq.R[s - 1] / math.prod(1.0 + x for x in seq.r[s - 1 :])
+        None if p_s == 1.0 else R_s / math.prod(map(operator.add, repeat(1.0), seq.r[s - 1 :]))
     )
     return WinProbability(value=value, product_form=product_form)
 

@@ -66,7 +66,8 @@ def _build_at_threshold(
     def build(ulps: int) -> OddsSequence | None:
         p[s - 1] = _ulps_above(head, ulps)
         seq = validate_probabilities(p)
-        if threshold(seq).s == s and not (require_unit_sum and seq.R[s - 1] < 1.0):
+        t = threshold(seq)
+        if t.s == s and not (require_unit_sum and t.R_s < 1.0):
             return seq
         return None
 

@@ -633,6 +633,9 @@ def test_closed_pipe_exits_1_without_a_traceback():
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 S_EQUALS_N_20 = ",".join([repr(j / 40) for j in range(1, 20)] + ["0.75"])
+# 12 entries take the grid route of the suffix sums; the eleven odds 1/11
+# sum to 1 and set boundary_flag
+NEAR_TIE_12 = ",".join(["0.5"] + [repr(1 / 12)] * 11)
 
 
 @pytest.mark.parametrize(
@@ -657,6 +660,7 @@ S_EQUALS_N_20 = ",".join([repr(j / 40) for j in range(1, 20)] + ["0.75"])
             ["sweep", "--n", "5", "--s", "2,7", "--rs", "0.5,1,-1,2.5", "-o", "-"],
         ),
         ("version.txt", ["--version"]),
+        ("analyze_near_tie_grid.json", ["analyze", "--format", "json", NEAR_TIE_12]),
     ],
 )
 def test_stdout_matches_golden_file(runner, name, args):

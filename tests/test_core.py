@@ -162,6 +162,23 @@ class TestThreshold:
                 assert t.s == 1
             assert t.s == exact_threshold(probs)
 
+    @pytest.mark.parametrize(
+        "probs, s, R_s",
+        [
+            ([1e-17] * 20000 + [0.09999999999999] * 9, 8897, "0x1.0000000000000p+0"),
+            ([3e-18] * 20000 + [0.09999999999999] * 9, 1, "0x1.ffffffffffe34p-1"),
+        ],
+        ids=["s_8897", "s_1"],
+    )
+    def test_float_guess_far_from_s(self, probs, s, R_s):
+        # the float running sum from the back rounds every tiny odds away
+        # and never reaches 1, so the guess (0) is thousands of indices off
+        seq = validate_probabilities(probs)
+        t = threshold(seq)
+        assert (t.s, t.R_s.hex()) == (s, R_s)
+        assert seq.R[s - 1].hex() == R_s
+        assert seq.R[s] < 1.0 <= seq.R[s - 1] or s == 1
+
     def test_boundary_flag(self):
         assert threshold(validate_probabilities([0.5, 0.5])).boundary_flag
         assert not threshold(validate_probabilities([0.3])).boundary_flag
@@ -235,6 +252,17 @@ class TestWinProbability:
         with pytest.raises(IndexOutOfRange):
             win_probability(seq, ThresholdResult(s=3, R_s=0.0, boundary_flag=True))
 
+    @pytest.mark.parametrize("s", [2.5, 2.0, "2", None], ids=["2.5", "2.0", "str", "None"])
+    def test_non_integer_s_is_invalid(self, s):
+        seq = validate_probabilities([0.5, 0.5])
+        with pytest.raises(InvalidArgument, match="s must be an integer"):
+            win_probability(seq, ThresholdResult(s=s, R_s=1.0, boundary_flag=False))
+
+    def test_integer_like_s_is_accepted(self):
+        seq = validate_probabilities([0.5, 0.5])
+        w = win_probability(seq, threshold(seq))
+        assert win_probability(seq, ThresholdResult(s=np.int64(2), R_s=1.0, boundary_flag=True)) is w
+
     def test_window_must_start_at_the_threshold(self):
         # R_2 = 1 puts the threshold at 2, so s = 1 is not it
         seq = validate_probabilities([0.5, 0.5])
@@ -294,14 +322,16 @@ class TestMemo:
         assert threshold(seq) is t
         assert win_probability(seq, threshold(seq)) is w
         assert (report.s, report.v_n, report.product_form) == (t.s, w.value, w.product_form)
-        # one read of p[s:] for the value, one of r[s-1:] for the product form
-        assert (seq.p.slices, seq.r.slices) == (1, 1)
+        # one read of p[s:] for the value; of r, the threshold's two fsum
+        # probes r[s-1:] and r[s:] (the guess is right here) and one read
+        # of r[s-1:] for the product form
+        assert (seq.p.slices, seq.r.slices) == (1, 3)
 
     def test_filled_memo_leaves_equality_hash_and_pickle_alone(self):
         probs = [0.1, 0.4, 0.3, 0.2]
         seq, fresh = validate_probabilities(probs), validate_probabilities(probs)
         bound_report(seq)
-        assert [field.name for field in dataclasses.fields(seq)] == ["p", "r", "R"]
+        assert [field.name for field in dataclasses.fields(seq)] == ["p", "r"]
         assert seq == fresh
         assert hash(seq) == hash(fresh)
         assert repr(seq) == repr(fresh)
@@ -314,9 +344,11 @@ class TestMemo:
     def test_replaced_sequence_recomputes(self):
         seq = validate_probabilities([0.1, 0.4, 0.3, 0.2])
         w = win_probability(seq, threshold(seq))
+        R = seq.R
         other = validate_probabilities([0.6, 0.1, 0.1])
-        moved = dataclasses.replace(seq, p=other.p, r=other.r, R=other.R)
+        moved = dataclasses.replace(seq, p=other.p, r=other.r)
         assert moved == other
+        assert moved.R == other.R != R
         assert threshold(moved) == threshold(other)
         assert threshold(moved).s != threshold(seq).s
         assert win_probability(moved, threshold(moved)) == win_probability(other, threshold(other))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -110,6 +111,9 @@ def test_suffix_sums_monotone_and_recursive(probs):
 @example([0.0, 0.3] + [1 / 8] * 7)
 @example([0.0, 0.3] + [1 / 1000] * 999)
 @example([-0.0, 0.0, -0.0])
+# all-zero tails on the grid: R and the fsum probes must both give +0.0
+@example([-0.0] * 12)
+@example([0.0, -0.0] * 6)
 @example([5e-324, 0.3, 2.2250738585072014e-308, 1e-310])
 @example([1 - 2**-53, 1e-300, 1 - 2**-53, 0.5])
 @example([0.9, 1.0, 1 - 2**-53, 5e-324])
@@ -126,6 +130,7 @@ def test_suffix_sums_correctly_rounded(probs):
             # float(sum(map(Fraction, seq.r[l:]))), accumulated suffix-wise
             exact += Fraction(seq.r[l])
             assert seq.R[l].hex() == float(exact).hex()
+    assert_routes_agree(probs)
 
 
 @pytest.mark.parametrize("probs, grid", ROUTING_EDGES)
@@ -140,8 +145,9 @@ def test_suffix_sums_routing(probs, grid, monkeypatch):
     real = core._grid_suffix_sums
     monkeypatch.setattr(core, "_grid_suffix_sums", spy)
     seq = validate_probabilities(probs)
+    R = seq.R  # built on first read
     assert any(taken) == grid
-    assert [x.hex() for x in seq.R] == [x.hex() for x in exact_suffix_sums(seq.r)]
+    assert [x.hex() for x in R] == [x.hex() for x in exact_suffix_sums(seq.r)]
 
 
 def test_large_near_tie_suffix_sums_correctly_rounded(large_near_tie):
@@ -173,6 +179,7 @@ def test_threshold_defining_inequalities(probs):
     if seq.R[0] < 1.0:
         assert t.s == 1
     assert t.s == exact_threshold(probs)
+    assert_routes_agree(probs)
 
 
 def scan_threshold(seq):
@@ -187,6 +194,17 @@ def scan_threshold(seq):
     return s, seq.R[s - 1], boundary
 
 
+def assert_routes_agree(probs):
+    """R_s and R_{s+1} of the threshold's fsum probes have the bits of the
+    grid or loop tuple seq.R, sign of zero included."""
+    fresh = validate_probabilities(probs)
+    t = threshold(fresh)
+    R_next = fresh._threshold[1]
+    R = fresh.R
+    assert t.R_s.hex() == R[t.s - 1].hex()
+    assert R_next.hex() == (R[t.s] if t.s < fresh.n else 0.0).hex()
+
+
 # any head, then an equal window whose odds sum to within rounding of 1
 near_ties = st.builds(
     lambda head, m, extra: head + [1 / (m + 1)] * (m + extra),
@@ -196,7 +214,28 @@ near_ties = st.builds(
 )
 
 
-@given(st.one_of(wide_prob_lists, near_ties))
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, 1.0 if ulps > 0 else 0.0)
+    return x
+
+
+# a run of tiny odds in front of a tail of equal odds nudged to within a
+# few ulps of 1: a float running sum from the back rounds each tiny odds
+# to 0 or to a whole ulp, so its guess of s can be far from the threshold
+tiny_heads = st.builds(
+    lambda tiny, count, m, ulps, tail_p: (
+        [tiny] * count + [_nudged(1 / (m + 1), ulps)] + [1 / (m + 1)] * (m - 1) + tail_p
+    ),
+    st.sampled_from([3e-18, 1e-17, 5e-17, 6e-17, 1e-16, 2e-16]),
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=-4, max_value=4),
+    st.lists(st.sampled_from([0.0, -0.0, 1e-300]), max_size=3),
+)
+
+
+@given(st.one_of(wide_prob_lists, near_ties, tiny_heads))
 @example([1.0])
 @example([0.3, 1.0, 0.2, 1.0, 0.1])
 @example([0.0, 0.0, 0.0])
@@ -205,10 +244,52 @@ near_ties = st.builds(
 @example([0.0, 0.3] + [1 / 9] * 8)
 @example([0.5] + [1 / 7] * 6)
 @example([5e-324, 1 - 2**-53, 2.2250738585072014e-308])
+@example([1e-17] * 20000 + [0.09999999999999] * 9)  # s = 8897, the guess 0
+@example([3e-18] * 20000 + [0.09999999999999] * 9)  # s = 1, the guess 0
 def test_threshold_matches_linear_scan(probs):
     seq = validate_probabilities(probs)
     t = threshold(seq)
     assert (t.s, t.R_s, t.boundary_flag) == scan_threshold(seq)
+    assert_routes_agree(probs)
+
+
+def fsum_probes(probs):
+    """(n, the number of math.fsum calls threshold() makes on a fresh
+    sequence)."""
+    seq = validate_probabilities(probs)
+    with mock.patch.object(math, "fsum", wraps=math.fsum) as spy:
+        threshold(seq)
+    return seq.n, spy.call_count
+
+
+def probe_bound(n):
+    return 2 * math.ceil(math.log2(n)) + 4
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [1e-17] * 20000 + [0.09999999999999] * 9,  # guess 0, s = 8897: gallop up
+        [3e-18] * 20000 + [0.09999999999999] * 9,  # guess 0, s = 1: two probes
+        [6e-17] * 3000 + [(1 - 1e-13) / (2 - 1e-13)],  # guess 2098, s = 1331: gallop down
+        [0.5] + [1 / 99919] * 99918,
+        [1 / j for j in range(1, 2001)],
+        [0.0] * 1000,
+        [1.0] * 1000,
+        [0.5],
+    ],
+    ids=["up_8897", "s_1", "down_1331", "near_tie_1e5", "secretary", "zeros", "sure", "n_1"],
+)
+def test_threshold_fsum_probes_are_logarithmic(probs):
+    n, probes = fsum_probes(probs)
+    assert probes <= probe_bound(n)
+
+
+@settings(max_examples=50)
+@given(tiny_heads)
+def test_threshold_fsum_probes_are_logarithmic_on_tiny_heads(probs):
+    n, probes = fsum_probes(probs)
+    assert probes <= probe_bound(n)
 
 
 def test_threshold_matches_linear_scan_on_near_tie_families():
@@ -253,6 +334,7 @@ def test_memo_bits_equal_a_fresh_evaluation(probs):
     assert _hex(report.v_n, report.product_form) == expected
     # a report on a sequence whose memo is still empty has the same bits
     assert repr(bound_report(validate_probabilities(probs))) == repr(report)
+    assert_routes_agree(probs)
 
 
 bad_entries = st.one_of(
