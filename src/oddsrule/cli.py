@@ -636,7 +636,8 @@ def _attach_values(argv: list[str], takes_value: set[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> None:
     """Run the command named in ``argv`` (default ``sys.argv[1:]``); exits 2
-    on invalid input or usage, 3 on a failed internal check."""
+    on invalid input or usage, or a request too large for memory, 3 on a
+    failed internal check."""
     parser, takes_value = _parser()
     argv = _attach_values(sys.argv[1:] if argv is None else argv, takes_value)
     args, extra = parser.parse_known_args(argv)
@@ -650,6 +651,9 @@ def main(argv: list[str] | None = None) -> None:
         sys.stdout.flush()  # here, so that a closed pipe is caught below
     except UsageError as exc:
         args.parser.error(str(exc))
+    except MemoryError:
+        # a size such as --n 2**62 that no list of that length can hold
+        _fail("not enough memory for this request")
     except BrokenPipeError:
         # the reader went away (`| head`): exit quietly, and give the
         # interpreter's last flush of stdout somewhere to go

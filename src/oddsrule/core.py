@@ -26,7 +26,6 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, islice, repeat
 from typing import Sequence
 
@@ -44,6 +43,26 @@ GRID_MIN_LEN = 11
 # chunks of this many: large enough for C-level passes, small enough
 # that a chunk past the first sum >= 1 costs nothing measurable.
 GUESS_CHUNK = 1024
+
+
+class _memo:
+    """A method computed once per instance, on first read.
+
+    A non-data descriptor: the value goes into the instance ``__dict__``
+    under the method's name, so later reads never reach it.  No lock is
+    taken; threads that race on the first read compute equal values and
+    the last one stored is kept.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def odds_to_prob(r: float) -> float:
@@ -85,9 +104,10 @@ class OddsSequence:
 
     ``R``, the threshold and V_n are memos filled on first use, not
     fields, so ``==``, ``hash`` and ``dataclasses.replace`` see only ``p``
-    and ``r``.  Instances are safe to share between threads: threads that
-    race to fill a memo (unlocked from Python 3.12 on) compute equal
-    values.  Construct them via :func:`validate_probabilities`.
+    and ``r``.  Instances are safe to share between threads: no lock is
+    taken, and threads that race to fill a memo compute equal values, not
+    necessarily the identical object.  Construct them via
+    :func:`validate_probabilities`.
     """
 
     p: tuple[float, ...]
@@ -97,23 +117,17 @@ class OddsSequence:
     def n(self) -> int:
         return len(self.p)
 
-    @cached_property
+    @_memo
     def R(self) -> tuple[float, ...]:
         return tuple(_suffix_odds_sums(self.r))
 
-    @cached_property
+    @_memo
     def _threshold(self) -> tuple[ThresholdResult, float]:
         # The threshold and R_{s+1} (0.0 at s = n).  R_l >= 1 holds for
         # l <= s and fails after, so a float running sum from the back
         # guesses s and correctly rounded probes of R_l confirm the guess,
         # or gallop from it by doubling steps and bisect the bracket.
         r, n = self.r, len(self.r)
-        sums = {n + 1: 0.0}
-
-        def R_at(l: int) -> float:
-            if l not in sums:
-                sums[l] = _suffix_sum(r, l)
-            return sums[l]
 
         # The guess is where the running sum first reaches 1 (0: never).
         # Adding odds >= 0 never lowers a rounded sum, so the running sums
@@ -124,33 +138,42 @@ class OddsSequence:
             if chunk[-1] >= 1.0:
                 break
         guess = n - below
-        lo, hi, step = 0, n + 1, 1  # lo is 0 or has R_lo >= 1; R_hi < 1
-        if guess == 0 or R_at(guess) >= 1.0:
-            lo = guess
-            while guess + step < hi:
-                if R_at(guess + step) < 1.0:
-                    hi = guess + step
+        # s is in [lo, hi): lo is 1 or has R_lo >= 1, and R_hi < 1.  Only
+        # l >= 2 is probed, and each at most once; R_1 is summed only when
+        # s = 1, since nothing else needs it.
+        lo, hi, R_lo, R_hi = 1, n + 1, 0.0, 0.0
+        if guess < 2 or (R_guess := _suffix_sum(r, guess)) >= 1.0:
+            if guess >= 2:
+                lo, R_lo = guess, R_guess
+            base, step = lo, 1
+            while base + step < hi:
+                x = _suffix_sum(r, base + step)
+                if x < 1.0:
+                    hi, R_hi = base + step, x
                     break
-                lo, step = guess + step, 2 * step
+                lo, R_lo, step = base + step, x, 2 * step
         else:
-            hi = guess
+            hi, R_hi, step = guess, R_guess, 1
             while guess - step > lo:
-                if R_at(guess - step) >= 1.0:
-                    lo = guess - step
+                x = _suffix_sum(r, guess - step)
+                if x >= 1.0:
+                    lo, R_lo = guess - step, x
                     break
-                hi, step = guess - step, 2 * step
+                hi, R_hi, step = guess - step, x, 2 * step
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if R_at(mid) >= 1.0:
-                lo = mid
+            x = _suffix_sum(r, mid)
+            if x >= 1.0:
+                lo, R_lo = mid, x
             else:
-                hi = mid
-        s = max(lo, 1)
-        R_s, R_next = R_at(s), R_at(s + 1)
-        boundary = any(math.isfinite(x) and abs(x - 1.0) < BOUNDARY_EPS for x in (R_s, R_next))
-        return ThresholdResult(s=s, R_s=R_s, boundary_flag=boundary), R_next
+                hi, R_hi = mid, x
+        s = lo
+        R_s = R_lo if s > 1 else _suffix_sum(r, 1)
+        # abs(inf - 1.0) is never below BOUNDARY_EPS: inf needs no test
+        boundary = abs(R_s - 1.0) < BOUNDARY_EPS or abs(R_hi - 1.0) < BOUNDARY_EPS
+        return ThresholdResult(s=s, R_s=R_s, boundary_flag=boundary), R_hi
 
-    @cached_property
+    @_memo
     def _win_probability(self) -> WinProbability:
         t, R_next = self._threshold
         return _win_probability_at(self, t.s, t.R_s, R_next)
@@ -299,10 +322,11 @@ def threshold(seq: OddsSequence) -> ThresholdResult:
     is guessed where a float running sum of the odds from the back first
     reaches 1, and confirmed by ``math.fsum`` of the tail at s and s + 1;
     a wrong guess is corrected by galloping from it and bisecting, so at
-    most 2*ceil(log2 n) + 4 tails are summed and ``seq.R`` is not built.
-    R does not increase with l, so the finite sums closest to 1 are R_s
-    and R_{s+1}: only those two decide the flag.  Computed once per
-    sequence; threads that race on the first call compute equal results.
+    most 2*ceil(log2 n) + 4 tails are summed, none twice, R_1 only when
+    s = 1, and ``seq.R`` is not built.  R does not increase with l, so the
+    finite sums closest to 1 are R_s and R_{s+1}: only those two decide
+    the flag.  Computed once per sequence; threads that race on the first
+    call get equal results, not necessarily the identical object.
     """
     return seq._threshold[0]
 

@@ -540,6 +540,24 @@ def test_leftover_arguments_are_reported_by_the_command(runner, args, extra):
     assert res.stderr.endswith(f"oddsrule {args[0]}: error: unrecognized arguments: {extra}\n")
 
 
+# n = 2**62: a list of that length fails its size check before any memory
+# is taken, so these exercise the out-of-memory path cheaply
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["extremal", "case2", "--n", str(2**62), "--s", "1"],
+        ["sweep", "--n", str(2**62), "--s", "1", "--rs", "1", "-o", "-"],
+        ["analyze", "--extremal", f"case2:n={2**62},s=1"],
+    ],
+    ids=["extremal", "sweep", "analyze"],
+)
+def test_a_request_too_large_for_memory_exits_2(runner, args):
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: not enough memory for this request\n"
+
+
 def test_unknown_option_before_the_command_is_reported_at_the_top(runner):
     res = invoke(runner, "--bogus", "analyze", "0.5")
     assert res.exit_code == 2

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -371,6 +373,36 @@ class TestMemo:
         assert (late.value, late.product_form) == (0.1, seq.R[2] / (1.0 + seq.r[2]))
         assert threshold(seq) is t
         assert win_probability(seq, t) is w
+
+    def test_threads_racing_on_the_first_read_get_equal_reports(self):
+        probs = [0.5] + [1 / 2001] * 2000  # a long window keeps the race open
+        alone = bound_report(validate_probabilities(probs))
+        workers = 8
+
+        def read(seq, barrier, reports, i):
+            barrier.wait(timeout=30)
+            reports[i] = bound_report(seq)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                seq, reports = validate_probabilities(probs), [None] * workers
+                barrier = threading.Barrier(workers)
+                threads = [
+                    threading.Thread(target=read, args=(seq, barrier, reports, i))
+                    for i in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert reports == [alone] * workers
+                assert threshold(seq) is threshold(seq)
+                assert win_probability(seq, threshold(seq)) is win_probability(seq, threshold(seq))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSecretary:

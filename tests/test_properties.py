@@ -254,16 +254,23 @@ def test_threshold_matches_linear_scan(probs):
 
 
 def fsum_probes(probs):
-    """(n, the number of math.fsum calls threshold() makes on a fresh
-    sequence)."""
+    """(n, s, the indices l whose tail sum R_l threshold() takes on a
+    fresh sequence, in call order, and the number of math.fsum calls)."""
     seq = validate_probabilities(probs)
-    with mock.patch.object(math, "fsum", wraps=math.fsum) as spy:
-        threshold(seq)
-    return seq.n, spy.call_count
+    with mock.patch.object(core, "_suffix_sum", wraps=core._suffix_sum) as spy, \
+            mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+        s = threshold(seq).s
+    return seq.n, s, [call.args[1] for call in spy.call_args_list], fsum.call_count
 
 
-def probe_bound(n):
-    return 2 * math.ceil(math.log2(n)) + 4
+def assert_probes_logarithmic(probs):
+    """No R_l is summed twice, R_1 only when s = 1, and at most
+    2*ceil(log2 n) + 4 sums are taken, all of them probes."""
+    n, s, probes, fsum_calls = fsum_probes(probs)
+    assert fsum_calls == len(probes)
+    assert len(set(probes)) == len(probes), probes
+    assert (1 in probes) == (s == 1), probes
+    assert len(probes) <= 2 * math.ceil(math.log2(n)) + 4
 
 
 @pytest.mark.parametrize(
@@ -277,19 +284,24 @@ def probe_bound(n):
         [0.0] * 1000,
         [1.0] * 1000,
         [0.5],
+        [1.0],
+        [0.1, 0.2],  # s = 1 with R_1 < 1
+        [0.6, 0.1],  # s = 1 with R_1 >= 1
+        [0.1, 0.2, 0.6],  # s = n
     ],
-    ids=["up_8897", "s_1", "down_1331", "near_tie_1e5", "secretary", "zeros", "sure", "n_1"],
+    ids=[
+        "up_8897", "s_1", "down_1331", "near_tie_1e5", "secretary", "zeros", "sure", "n_1",
+        "n_1_sure", "s_1_below_1", "s_1_above_1", "s_n",
+    ],
 )
 def test_threshold_fsum_probes_are_logarithmic(probs):
-    n, probes = fsum_probes(probs)
-    assert probes <= probe_bound(n)
+    assert_probes_logarithmic(probs)
 
 
 @settings(max_examples=50)
 @given(tiny_heads)
 def test_threshold_fsum_probes_are_logarithmic_on_tiny_heads(probs):
-    n, probes = fsum_probes(probs)
-    assert probes <= probe_bound(n)
+    assert_probes_logarithmic(probs)
 
 
 def test_threshold_matches_linear_scan_on_near_tie_families():
