@@ -29,15 +29,10 @@ from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from typing import Sequence
 
-from .errors import EmptySequence, IndexOutOfRange, InvalidArgument, NotANumber, OutOfRange
+from .errors import EmptySequence, InvalidArgument, NotANumber, OutOfRange
 
 # |R_l - 1| below this marks the threshold decision as numerically touchy.
 BOUNDARY_EPS = 1e-9
-
-# Sequences shorter than this keep the per-entry suffix-sum loop: there
-# the grid's fixed cost (the scan for p = 1, min, max, frexp) outweighs
-# what its C-level passes save.
-GRID_MIN_LEN = 11
 
 # The threshold's float guess reads the running sums of the odds in
 # chunks of this many: large enough for C-level passes, small enough
@@ -98,9 +93,8 @@ class OddsSequence:
       ``total / 2**K``: ``float(int)`` rounds half to even, and scaling a
       normal result by a power of two is exact.
 
-    Other inputs, and sequences shorter than ``GRID_MIN_LEN``, take a
-    per-entry loop that keeps the sum in units of the largest denominator
-    seen so far; both give the same bits.
+    Other inputs take a per-entry loop that keeps the sum in units of the
+    largest denominator seen so far; both give the same bits.
 
     ``R``, the threshold and V_n are memos filled on first use, not
     fields, so ``==``, ``hash`` and ``dataclasses.replace`` see only ``p``
@@ -119,7 +113,18 @@ class OddsSequence:
 
     @_memo
     def R(self) -> tuple[float, ...]:
-        return tuple(_suffix_odds_sums(self.r))
+        # Exact sums from the right, each rounded once: the bits of
+        # _suffix_sum, on which the threshold compares R_l >= 1.  A sure
+        # success's +inf makes its own and every earlier sum inf; the
+        # finite tail after the last one is summed on the grid when the
+        # guard in _grid_suffix_sums holds, and by the loop otherwise.
+        odds = self.r
+        stop = len(odds) - odds[::-1].index(math.inf) if math.inf in odds else 0
+        sums = _grid_suffix_sums(odds, stop)
+        if sums is None:
+            return tuple(_loop_suffix_sums(odds))
+        sums[:0] = [math.inf] * stop
+        return tuple(sums)
 
     @_memo
     def _threshold(self) -> tuple[ThresholdResult, float]:
@@ -176,7 +181,13 @@ class OddsSequence:
     @_memo
     def _win_probability(self) -> WinProbability:
         t, R_next = self._threshold
-        return _win_probability_at(self, t.s, t.R_s, R_next)
+        s, p_s = t.s, self.p[t.s - 1]
+        survive = math.exp(math.fsum(map(math.log1p, map(operator.neg, self.p[s:]))))
+        value = survive * (p_s + (1.0 - p_s) * R_next)
+        product_form = None
+        if p_s != 1.0:
+            product_form = t.R_s / math.prod(map(operator.add, repeat(1.0), self.r[s - 1 :]))
+        return WinProbability(value=value, product_form=product_form)
 
 
 @dataclass(frozen=True)
@@ -212,24 +223,6 @@ def _suffix_sum(odds: tuple[float, ...], l: int) -> float:
     # these are the bits of R[l-1]; + 0.0 turns an all-zero tail's sum into
     # +0.0, as in R, whatever sign of zero fsum returns.
     return math.fsum(odds[l - 1 :]) + 0.0
-
-
-def _suffix_odds_sums(odds: tuple[float, ...]) -> list[float]:
-    # Right-to-left exact summation, so every stored suffix sum is the true
-    # sum rounded once, the same bits as _suffix_sum, on which the threshold
-    # comparison R_l >= 1 is taken; an ordinary running sum can land on the
-    # wrong side of 1.  Odds are >= 0, so the only non-finite value is a
-    # sure success's +inf, which makes its own and every earlier suffix sum
-    # inf.  The finite tail after the last sure success is summed on one
-    # binary grid when the guard in _grid_suffix_sums holds (derivation in
-    # the OddsSequence docstring), and by the per-entry loop otherwise.
-    if len(odds) >= GRID_MIN_LEN:
-        stop = len(odds) - odds[::-1].index(math.inf) if math.inf in odds else 0
-        sums = _grid_suffix_sums(odds, stop)
-        if sums is not None:
-            sums[:0] = [math.inf] * stop
-            return sums
-    return _loop_suffix_sums(odds)
 
 
 def _grid_suffix_sums(odds: tuple[float, ...], stop: int) -> list[float] | None:
@@ -332,44 +325,27 @@ def threshold(seq: OddsSequence) -> ThresholdResult:
 
 
 def win_probability(seq: OddsSequence, t: ThresholdResult) -> WinProbability:
-    """Success probability of the odds rule with threshold ``t``.
+    """Success probability of the odds rule at the threshold of ``seq``.
 
     ``value`` is prod_{j>s} (1 - p_j) * (p_s + (1 - p_s) * R_{s+1}), with
     R_{n+1} = 0 and the product taken as exp(fsum(log1p(-p_j))).  At the
     threshold R_{s+1} < 1, so no later p_j is 1 and the product lies in
     [1/e, 1]; a sure success at p_s needs no special case.
     ``product_form`` is the odds-ratio cross-check R_s / prod(1 + r_j),
-    None when p_s = 1.  R_s and R_{s+1} come from the threshold's memo at
-    the threshold of ``seq`` and from ``math.fsum`` of the tail elsewhere;
-    ``seq.R`` is not built.
+    None when p_s = 1.  R_s and R_{s+1} come from the threshold's memo;
+    ``seq.R`` is not built.  Computed once per sequence.
 
-    Raises InvalidArgument when s is not an integer (``operator.index``
-    refuses it), IndexOutOfRange when s is outside [1, n] and
-    InvalidArgument when R_{s+1} >= 1, i.e. when ``t`` is not the
-    threshold of ``seq``.  At the threshold of ``seq`` it is computed once
-    per sequence.
+    Raises InvalidArgument when ``t.s`` is not an integer (``operator.index``
+    refuses it) or is not the threshold of ``seq``; the value of any other
+    threshold rule is ``oracle.threshold_rule_value``.
     """
     try:
         s = operator.index(t.s)
     except TypeError:
         raise InvalidArgument(f"s must be an integer, got {t.s!r}") from None
-    if s == seq._threshold[0].s:
-        return seq._win_probability
-    if not 1 <= s <= seq.n:
-        raise IndexOutOfRange(s, seq.n)
-    return _win_probability_at(seq, s, _suffix_sum(seq.r, s), _suffix_sum(seq.r, s + 1))
-
-
-def _win_probability_at(seq: OddsSequence, s: int, R_s: float, R_next: float) -> WinProbability:
-    if R_next >= 1.0:
-        raise InvalidArgument(f"s = {s} is not the threshold: R_{s + 1} >= 1")
-    p_s = seq.p[s - 1]
-    survive = math.exp(math.fsum(map(math.log1p, map(operator.neg, seq.p[s:]))))
-    value = survive * (p_s + (1.0 - p_s) * R_next)
-    product_form = (
-        None if p_s == 1.0 else R_s / math.prod(map(operator.add, repeat(1.0), seq.r[s - 1 :]))
-    )
-    return WinProbability(value=value, product_form=product_form)
+    if s != seq._threshold[0].s:
+        raise InvalidArgument(f"s = {s} is not the threshold, s = {seq._threshold[0].s}")
+    return seq._win_probability
 
 
 def secretary_sequence(n: int) -> OddsSequence:

@@ -46,8 +46,9 @@ class IndexOutOfRange(OddsRuleError):
 
 
 class InvalidArgument(OddsRuleError, ValueError):
-    """An argument lies outside the function's domain: trials < 1, or a
-    threshold that is not the threshold of the sequence (R_{s+1} >= 1)."""
+    """An argument lies outside the function's domain: an oracle's k or
+    trials that is not an integer, trials < 1, or a ThresholdResult whose
+    s is not an integer or not the threshold of the sequence."""
 
 
 class TooLarge(OddsRuleError):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import OddsSequence
@@ -63,6 +64,20 @@ class SimulationReport:
     seed: int
 
 
+def _integer(name: str, x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {x!r}") from None
+
+
+def _window_start(k, n: int) -> int:
+    k = _integer("k", k)
+    if not 1 <= k <= n:
+        raise IndexOutOfRange(k, n)
+    return k
+
+
 def dp_optimal_value(seq: OddsSequence) -> DPResult:
     """Optimal success probability over all stopping times, by exact
     backward induction."""
@@ -87,10 +102,11 @@ def threshold_rule_value(seq: OddsSequence, k: int) -> float:
 
     Runs the window forward, tracking the probability of zero and of
     exactly one success so far; the rule wins precisely when the window
-    [k, n] ends with exactly one success.
+    [k, n] ends with exactly one success.  Here and in the other oracles,
+    a k that is not an integer raises InvalidArgument, one outside [1, n]
+    IndexOutOfRange.
     """
-    if not 1 <= k <= seq.n:
-        raise IndexOutOfRange(k, seq.n)
+    k = _window_start(k, seq.n)
     none = 1.0
     one = 0.0
     for p_j in seq.p[k - 1 :]:
@@ -156,8 +172,7 @@ def exhaustive_value(seq: OddsSequence, k: int) -> float:
     n = seq.n
     if n > EXHAUSTIVE_MAX_N:
         raise TooLarge(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}, got {n}")
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(k, n)
+    k = _window_start(k, n)
     import numpy as np
 
     # Prefix outcome i has I_j = bit j of i: each trial doubles the
@@ -195,10 +210,10 @@ def monte_carlo(
     into one draw buffer and one hit buffer allocated once, which bounds
     memory and does not change the numbers.  The report is therefore a
     function of (seed, trials, p_k..p_n) alone.  Raises InvalidArgument
-    when trials < 1.
+    when trials is not an integer or is below 1.
     """
-    if not 1 <= k <= seq.n:
-        raise IndexOutOfRange(k, seq.n)
+    k = _window_start(k, seq.n)
+    trials = _integer("trials", trials)
     if trials < 1:
         raise InvalidArgument(f"need trials >= 1, got {trials}")
     import numpy as np

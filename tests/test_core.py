@@ -10,7 +10,6 @@ import pytest
 from exact_oracle import exact_threshold, exact_win, exact_window_win, prob_to_odds
 from oddsrule import (
     EmptySequence,
-    IndexOutOfRange,
     InvalidArgument,
     NotANumber,
     OutOfRange,
@@ -248,10 +247,12 @@ class TestWinProbability:
             assert abs(a - c) <= 1e-12
 
     def test_window_index_checked(self):
+        # only the threshold itself is evaluated: an index outside [1, n]
+        # is just another s that is not it
         seq = validate_probabilities([0.5, 0.5])
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidArgument, match="s = 0 is not the threshold"):
             win_probability(seq, ThresholdResult(s=0, R_s=2.0, boundary_flag=True))
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidArgument, match="s = 3 is not the threshold"):
             win_probability(seq, ThresholdResult(s=3, R_s=0.0, boundary_flag=True))
 
     @pytest.mark.parametrize("s", [2.5, 2.0, "2", None], ids=["2.5", "2.0", "str", "None"])
@@ -363,14 +364,13 @@ class TestMemo:
         t = threshold(seq)
         w = win_probability(seq, t)
         assert t.s == 2
-        with pytest.raises(InvalidArgument, match="s = 1 is not the threshold"):
-            win_probability(seq, ThresholdResult(s=1, R_s=seq.R[0], boundary_flag=False))
-        for s in (0, 4):
-            with pytest.raises(IndexOutOfRange):
-                win_probability(seq, ThresholdResult(s=s, R_s=1.0, boundary_flag=False))
-        # a later index with R_{s+1} < 1 is evaluated, not read from the memo
-        late = win_probability(seq, ThresholdResult(s=3, R_s=seq.R[2], boundary_flag=False))
-        assert (late.value, late.product_form) == (0.1, seq.R[2] / (1.0 + seq.r[2]))
+        # an earlier index, a later one (R_{s+1} < 1 there too), one
+        # outside [1, n] and a float equal to the threshold are all refused
+        for s in (1, 3, 0, 4):
+            with pytest.raises(InvalidArgument, match=f"s = {s} is not the threshold"):
+                win_probability(seq, ThresholdResult(s=s, R_s=seq.R[0], boundary_flag=False))
+        with pytest.raises(InvalidArgument, match="s must be an integer"):
+            win_probability(seq, ThresholdResult(s=2.0, R_s=t.R_s, boundary_flag=False))
         assert threshold(seq) is t
         assert win_probability(seq, t) is w
 

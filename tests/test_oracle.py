@@ -33,6 +33,10 @@ ORACLE_FAMILIES_20 = {
     "s_equals_n": [j / 40 for j in range(1, 20)] + [0.75],
 }
 
+# k values that are not integers: each oracle refuses them with the
+# package's own error, not a TypeError from the arithmetic
+non_integer_k = pytest.mark.parametrize("k", [2.0, 2.5, "2", None], ids=["2.0", "2.5", "str", "None"])
+
 
 class TestDP:
     def test_single_item(self):
@@ -114,6 +118,16 @@ class TestThresholdRule:
             threshold_rule_value(seq, 0)
         with pytest.raises(IndexOutOfRange):
             threshold_rule_value(seq, 3)
+
+    @non_integer_k
+    def test_non_integer_k_is_invalid(self, k):
+        seq = validate_probabilities([0.5, 0.5, 0.5])
+        with pytest.raises(InvalidArgument, match="k must be an integer"):
+            threshold_rule_value(seq, k)
+
+    def test_integer_like_k_is_accepted(self):
+        seq = validate_probabilities([0.5, 0.3, 0.2])
+        assert threshold_rule_value(seq, np.int64(2)) == threshold_rule_value(seq, 2)
 
     def test_sweep_matches_single_calls(self):
         rng = np.random.default_rng(71)
@@ -228,6 +242,12 @@ class TestExhaustive:
         with pytest.raises(IndexOutOfRange):
             exhaustive_value(seq, 2)
 
+    @non_integer_k
+    def test_non_integer_k_is_invalid(self, k):
+        seq = validate_probabilities([0.5, 0.5, 0.5])
+        with pytest.raises(InvalidArgument, match="k must be an integer"):
+            exhaustive_value(seq, k)
+
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
@@ -289,6 +309,18 @@ class TestMonteCarlo:
         for trials in (0, -3):
             with pytest.raises(InvalidArgument):
                 monte_carlo(seq, 1, trials, seed=1)
+
+    @non_integer_k
+    def test_non_integer_k_is_invalid(self, k):
+        seq = validate_probabilities([0.5, 0.5, 0.5])
+        with pytest.raises(InvalidArgument, match="k must be an integer"):
+            monte_carlo(seq, k, 10, seed=1)
+
+    @pytest.mark.parametrize("trials", [10.0, "10", None], ids=["10.0", "str", "None"])
+    def test_non_integer_trials_is_invalid(self, trials):
+        seq = validate_probabilities([0.5, 0.5])
+        with pytest.raises(InvalidArgument, match="trials must be an integer"):
+            monte_carlo(seq, 1, trials, seed=1)
 
     def test_negative_seed_normalized(self):
         seq = validate_probabilities([0.5, 0.5])

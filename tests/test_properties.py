@@ -34,7 +34,7 @@ from oddsrule import (
     win_probability,
 )
 from oddsrule import core
-from oddsrule.core import BOUNDARY_EPS, GRID_MIN_LEN
+from oddsrule.core import BOUNDARY_EPS
 
 probabilities = st.floats(min_value=0.0, max_value=0.95, allow_nan=False)
 prob_lists = st.lists(probabilities, min_size=1, max_size=30)
@@ -45,9 +45,9 @@ wide_probabilities = st.one_of(
 )
 wide_prob_lists = st.lists(wide_probabilities, min_size=1, max_size=30)
 
-# the inputs the exact grid of core._grid_suffix_sums takes: at least
-# GRID_MIN_LEN entries, no subnormal, exponents within about 2**40 of one
-# another, with zeros, -0.0 and sure successes mixed in
+# the inputs the exact grid of core._grid_suffix_sums takes: no
+# subnormal, exponents within about 2**40 of one another, with zeros,
+# -0.0 and sure successes mixed in
 grid_prob_lists = st.builds(
     lambda scale, xs: [x if x in (0.0, 1.0) else math.ldexp(x, scale) for x in xs],
     st.integers(min_value=-980, max_value=0),
@@ -56,19 +56,31 @@ grid_prob_lists = st.builds(
             st.floats(min_value=2.0**-40, max_value=1.0, exclude_max=True),
             st.sampled_from([0.0, -0.0, 1.0]),
         ),
-        min_size=GRID_MIN_LEN,
+        min_size=1,
         max_size=60,
     ),
 )
 
-# (probs, summed on the grid) on both sides of each routing condition:
-# the length cutoff, e_min = -1021 (smallest normal) against -1022, and
-# e_max - e_min + L.bit_length() at 970 against 971 (here L = 12)
+# inputs the grid's guard refuses, so that R comes from
+# core._loop_suffix_sums: a subnormal odds, or an odds at most 2**-972
+# next to one of at least 1/3, exponents spread past 970
+loop_prob_lists = st.tuples(
+    st.one_of(
+        st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
+        st.floats(min_value=2.0**-1022, max_value=2.0**-972),
+    ),
+    st.floats(min_value=0.25, max_value=0.95),
+    st.lists(st.one_of(probabilities, st.sampled_from([0.0, -0.0])), max_size=30),
+).flatmap(lambda parts: st.permutations([parts[0], parts[1], *parts[2]]))
+
+# (probs, summed on the grid): any length, from one entry on, and both
+# sides of each guard condition: e_min = -1021 (smallest normal) against
+# -1022, and e_max - e_min + L.bit_length() at 970 against 971 (L = 12)
 ROUTING_EDGES = [
-    ([1 / (j + 2) for j in range(GRID_MIN_LEN - 1)], False),
-    ([1 / (j + 2) for j in range(GRID_MIN_LEN)], True),
-    ([2.0**-1022] + [2.0**-990 * (1 + j / 7) for j in range(GRID_MIN_LEN)], True),
-    ([2.0**-1023] + [2.0**-990 * (1 + j / 7) for j in range(GRID_MIN_LEN)], False),
+    ([1 / (j + 2) for j in range(10)], True),
+    ([0.5], True),
+    ([2.0**-1022] + [2.0**-990 * (1 + j / 7) for j in range(11)], True),
+    ([2.0**-1023] + [2.0**-990 * (1 + j / 7) for j in range(11)], False),
     ([2.0**-966] + [0.6 - j / 100 for j in range(11)], True),
     ([2.0**-967] + [0.6 - j / 100 for j in range(11)], False),
 ]
@@ -98,13 +110,13 @@ def test_suffix_sums_monotone_and_recursive(probs):
 @example(ROUTING_EDGES[3][0])
 @example(ROUTING_EDGES[4][0])
 @example(ROUTING_EDGES[5][0])
-# -0.0 and p = 1 as the first, a middle and the last entry of grid-length
-# inputs, and a tail of zeros after a sure success
-@example([-0.0, 0.25] * GRID_MIN_LEN + [-0.0])
-@example([1.0] + [1 / (j + 3) for j in range(GRID_MIN_LEN)])
-@example([1 / (j + 3) for j in range(GRID_MIN_LEN)] + [1.0] + [0.1, 1e-9, 1 - 2**-53] * 4)
-@example([1 / (j + 3) for j in range(GRID_MIN_LEN)] + [1.0])
-@example([0.4, 1.0] + [0.0, -0.0] * GRID_MIN_LEN)
+# -0.0 and p = 1 as the first, a middle and the last entry, and a tail
+# of zeros after a sure success
+@example([-0.0, 0.25] * 11 + [-0.0])
+@example([1.0] + [1 / (j + 3) for j in range(11)])
+@example([1 / (j + 3) for j in range(11)] + [1.0] + [0.1, 1e-9, 1 - 2**-53] * 4)
+@example([1 / (j + 3) for j in range(11)] + [1.0])
+@example([0.4, 1.0] + [0.0, -0.0] * 11)
 # both near-tie families [0.5] + [1/(m+2)]*(m+1) and [0, 0.3] + [1/(m+1)]*m
 @example([0.5] + [1 / 7] * 6)
 @example([0.5] + [1 / 1001] * 1000)
@@ -147,6 +159,18 @@ def test_suffix_sums_routing(probs, grid, monkeypatch):
     seq = validate_probabilities(probs)
     R = seq.R  # built on first read
     assert any(taken) == grid
+    assert [x.hex() for x in R] == [x.hex() for x in exact_suffix_sums(seq.r)]
+
+
+@given(loop_prob_lists)
+@example([5e-324])
+@example([2.0**-972, 0.25])
+@example([0.5, 2.0**-1022 - 2.0**-1074, 0.0, 1e-300])
+def test_loop_suffix_sums_correctly_rounded(probs):
+    seq = validate_probabilities(probs)
+    with mock.patch.object(core, "_loop_suffix_sums", wraps=core._loop_suffix_sums) as loop:
+        R = seq.R
+    assert loop.call_count == 1
     assert [x.hex() for x in R] == [x.hex() for x in exact_suffix_sums(seq.r)]
 
 
@@ -465,6 +489,7 @@ def test_exhaustive_bits_match_full_enumeration(rule):
 
 
 @given(prob_lists)
+@example([0.5, 0.3333333333333333, 0.3333333333333333])  # V_n rounds onto the case-3 bound
 def test_bound_report_never_violates(probs):
     report = bound_report(validate_probabilities(probs))
     assert report.lower - 1e-12 <= report.v_n <= report.upper + 1e-12
@@ -476,7 +501,15 @@ def test_bound_report_never_violates(probs):
         assert abs(report.lower - report.v_n) <= 1e-12
         assert abs(report.upper - report.v_n) <= 1e-12
     if report.lower_case == 3:
-        assert report.v_n > report.lower
+        # V_n exceeds the case-3 bound strictly, but by less than an ulp
+        # it can round onto the bound's double: floats are checked with
+        # >=, and the paper's strict inequality on the exact values, under
+        # its hypothesis R_s > 1 + 1/m at the exact threshold
+        assert report.v_n >= report.lower
+        s, m = report.s, len(probs) - report.s
+        R_s = sum(Fraction(p) / (1 - Fraction(p)) for p in probs[s - 1 :])
+        if exact_threshold(probs) == s and R_s > 1 + Fraction(1, m):
+            assert exact_window_win(probs, s) > Fraction(m, m + 1) ** m
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=25))

@@ -1,8 +1,12 @@
-"""No module imports a name it never reads.
+"""No module imports a name it never reads, and no private name in the
+package goes unread.
 
-Checked with the standard library's ast over src/oddsrule/*.py, tests/*.py
-and demos/*.py.  The package __init__ is skipped: its imports are the
-re-exports listed in __all__.
+Checked with the standard library's ast.  Imports are checked over
+src/oddsrule/*.py, tests/*.py and demos/*.py; the package __init__ is
+skipped there, since its imports are the re-exports listed in __all__.
+Every private top-level function, class or constant of src/oddsrule/*.py
+(a name with one leading underscore) must be read somewhere in
+src/oddsrule/.
 """
 
 import ast
@@ -44,3 +48,62 @@ def test_no_unused_imports():
         for hit in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """{name: line} for each private top-level def, class or assignment."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for target in nodes for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module loads, bare or as an attribute (module._name)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """'file line N: name' for each private top-level name that no module
+    of ``sources`` (file name -> source) reads."""
+    read = set().union(*map(names_read, sources.values()))
+    return [
+        f"{path} line {line}: {name}"
+        for path, source in sorted(sources.items())
+        for name, line in private_definitions(source).items()
+        if name not in read
+    ]
+
+
+def test_checker_finds_unread_private_names():
+    sources = {
+        "a.py": "_A = 1\n_B, _C = 2, 3\ndef _f():\n    _g = 4\nclass _K:\n    pass\n__all__ = []\n",
+        "b.py": "from a import _A\nimport a\nprint(_A, a._f, _C)\n_D = 5\n",
+    }
+    assert unread_private_names(sources) == [
+        "a.py line 2: _B",
+        "a.py line 5: _K",
+        "b.py line 4: _D",
+    ]
+
+
+def test_no_unread_private_names():
+    package = sorted((ROOT / "src" / "oddsrule").glob("*.py"))
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in package}
+    assert sum(len(private_definitions(source)) for source in sources.values()) > 0
+    assert unread_private_names(sources) == []
