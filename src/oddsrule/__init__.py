@@ -44,8 +44,10 @@ from .extremal import (
     upper_extremal,
 )
 from .oracle import (
+    CrossCheck,
     DPResult,
     SimulationReport,
+    cross_check,
     dp_optimal_value,
     exhaustive_value,
     lindley_threshold,
@@ -58,6 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
+    "CrossCheck",
     "DPResult",
     "EmptySequence",
     "ExtremalConfig",
@@ -77,6 +80,7 @@ __all__ = [
     "WinProbability",
     "bound_report",
     "corollary_bound",
+    "cross_check",
     "dp_optimal_value",
     "exhaustive_value",
     "lindley_threshold",

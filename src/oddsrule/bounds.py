@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import OddsSequence, ThresholdResult, odds_to_prob, threshold, win_probability
+from .core import OddsSequence, ThresholdResult, _integer, odds_to_prob, threshold, win_probability
 from .errors import InconsistentInput, InternalBoundViolation
 
 # Slack for "bound satisfied" checks and tolerance for equality detection.
@@ -46,9 +46,9 @@ def _compound_decay(m: int) -> float:
     """(1 + 1/m)^(-m), decreasing in m toward 1/e from above.
 
     Evaluated as exp(-m*log1p(1/m)) to dodge cancellation at large m.
+    The callers pass m >= 1: integer n and s with 1 <= s <= n, and
+    m = n - s only when s < n.
     """
-    if m < 1:
-        raise InconsistentInput(f"need m >= 1, got {m}")
     return math.exp(-m * math.log1p(1.0 / m))
 
 
@@ -63,8 +63,9 @@ def lower_bound(n: int, s: int, R_s: float) -> LowerBound:
     Case 1 applies for R_s < 1 (only consistent with s = 1); case 2 on
     the closed interval [1, 1 + 1/(n-s)]; case 3 strictly above it.  At
     s = n the separating value 1 + 1/(n-s) is +inf, so case 2 absorbs
-    every R_s >= 1.
+    every R_s >= 1.  A non-integer n or s raises InvalidArgument.
     """
+    n, s = _integer("n", n), _integer("s", s)
     if not 1 <= s <= n:
         raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
     if math.isnan(R_s) or R_s < 0.0:
@@ -89,6 +90,7 @@ def corollary_bound(n: int, s: int) -> float:
     automatic).  At s = 1 it equals the case-2 value and is reported for
     reference, with applicability labelled separately.
     """
+    n, s = _integer("n", n), _integer("s", s)
     if not 1 <= s <= n:
         raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
     return _compound_decay(n - s + 1)

@@ -31,7 +31,6 @@ from .errors import InvalidArgument, OddsRuleError
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
-ORACLE_TOL = 1e-12
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 42
 
@@ -344,65 +343,29 @@ def oracle_check(args: argparse.Namespace) -> None:
     Carlo estimate lands within 4 standard errors of V_n; exits 3
     otherwise (which would signal a bug, not a property of the input).
     """
+    # this docstring is the command's --help text; the verdict itself is
+    # oracle.cross_check's, and this function only renders its record
     seq = resolve_sequence(args)
-    t = core.threshold(seq)
-    v = core.win_probability(seq, t).value
-
-    dp = oracle.dp_optimal_value(seq)
-    family = oracle.threshold_rule_values(seq)
-    best = max(family)
-    checks = {
-        "dp": abs(dp.value - v) <= ORACLE_TOL,
-        "threshold_family": abs(best - v) <= ORACLE_TOL
-        and family[t.s - 1] >= best - ORACLE_TOL,
-    }
-    rows = {
-        "formula": v,
-        "dp": dp.value,
-        "threshold_family_max": best,
-    }
-    if seq.n <= oracle.EXHAUSTIVE_MAX_N:
-        exhaustive = oracle.exhaustive_value(seq, t.s)
-        rows["exhaustive"] = exhaustive
-        checks["exhaustive"] = abs(exhaustive - v) <= ORACLE_TOL
-    else:
-        rows["exhaustive"] = None
-    sim = oracle.monte_carlo(seq, t.s, args.trials, args.seed)
-    rows["monte_carlo"] = sim.estimate
-    # the band is the standard error under the hypothesis p = V_n, not the
-    # reported plug-in one, which is 0 when no trial wins
-    se = math.sqrt(max(v * (1.0 - v), 0.0) / sim.trials)
-    checks["monte_carlo"] = abs(sim.estimate - v) <= 4.0 * se
-
-    doc = {
-        "n": seq.n,
-        "s": t.s,
-        "values": rows,
-        "monte_carlo": {
-            "trials": sim.trials,
-            "wins": sim.wins,
-            "std_error": sim.std_error,
-            "seed": sim.seed,
-        },
-        "checks": checks,
-        "agree": all(checks.values()),
-    }
+    c = oracle.cross_check(seq, args.trials, args.seed)
+    values, sim, checks = c.values, c.simulation, c.checks
     if args.output_format == "json":
-        print(render_json(doc))
+        mc = {"trials": sim.trials, "wins": sim.wins, "std_error": sim.std_error, "seed": sim.seed}
+        print(render_json({"n": seq.n, "s": c.s, "values": values, "monte_carlo": mc,
+                           "checks": checks, "agree": c.agree}))
     else:
-        print(f"formula V_n            {fmt_human(v)}")
-        print(f"dp optimal             {fmt_human(dp.value)}"
+        print(f"formula V_n            {fmt_human(values['formula'])}")
+        print(f"dp optimal             {fmt_human(values['dp'])}"
               f"   {'ok' if checks['dp'] else 'MISMATCH'}")
-        print(f"threshold family max   {fmt_human(best)}"
+        print(f"threshold family max   {fmt_human(values['threshold_family_max'])}"
               f"   {'ok (attained at s)' if checks['threshold_family'] else 'MISMATCH'}")
-        if rows["exhaustive"] is None:
+        if values["exhaustive"] is None:
             print(f"exhaustive             skipped (n > {oracle.EXHAUSTIVE_MAX_N})")
         else:
-            print(f"exhaustive             {fmt_human(rows['exhaustive'])}"
+            print(f"exhaustive             {fmt_human(values['exhaustive'])}"
                   f"   {'ok' if checks['exhaustive'] else 'MISMATCH'}")
         print(f"monte carlo            {fmt_human(sim.estimate)} +/- {fmt_human(sim.std_error)}"
               f"   {'ok (4 se)' if checks['monte_carlo'] else 'OUTSIDE 4 SE'}")
-    if not doc["agree"]:
+    if not c.agree:
         _fail("oracle disagreement", EXIT_VERIFY)
 
 

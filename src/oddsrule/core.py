@@ -60,6 +60,14 @@ class _memo:
         return value
 
 
+def _integer(name: str, x) -> int:
+    """x as an int when operator.index accepts it, else InvalidArgument."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {x!r}") from None
+
+
 def odds_to_prob(r: float) -> float:
     """Probability r/(1+r) of odds r, with inf mapping to 1."""
     if math.isinf(r):
@@ -339,10 +347,7 @@ def win_probability(seq: OddsSequence, t: ThresholdResult) -> WinProbability:
     refuses it) or is not the threshold of ``seq``; the value of any other
     threshold rule is ``oracle.threshold_rule_value``.
     """
-    try:
-        s = operator.index(t.s)
-    except TypeError:
-        raise InvalidArgument(f"s must be an integer, got {t.s!r}") from None
+    s = _integer("s", t.s)
     if s != seq._threshold[0].s:
         raise InvalidArgument(f"s = {s} is not the threshold, s = {seq._threshold[0].s}")
     return seq._win_probability
@@ -355,6 +360,7 @@ def secretary_sequence(n: int) -> OddsSequence:
     probability exactly 1/j, independently across j; stopping on the last
     running best recovers the classical best-choice problem.
     """
+    n = _integer("n", n)
     if n < 1:
         raise EmptySequence("secretary sequence needs n >= 1")
     return validate_probabilities([1.0 / j for j in range(1, n + 1)])

@@ -46,9 +46,11 @@ class IndexOutOfRange(OddsRuleError):
 
 
 class InvalidArgument(OddsRuleError, ValueError):
-    """An argument lies outside the function's domain: an oracle's k or
-    trials that is not an integer, trials < 1, or a ThresholdResult whose
-    s is not an integer or not the threshold of the sequence."""
+    """An argument lies outside the function's domain: an oracle's k,
+    trials or seed that is not an integer, trials < 1, an n or s that is
+    not an integer (bounds, extremal generators, secretary_sequence,
+    lindley_threshold), or a ThresholdResult whose s is not an integer or
+    not the threshold of the sequence."""
 
 
 class TooLarge(OddsRuleError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .bounds import lower_bound, upper_bound
-from .core import OddsSequence, odds_to_prob, threshold, validate_probabilities
+from .core import OddsSequence, _integer, odds_to_prob, threshold, validate_probabilities
 from .errors import InconsistentInput
 
 DEFAULT_ALPHA = 1.0 - 1e-3
@@ -89,6 +89,7 @@ def _build_at_threshold(
 def upper_extremal(n: int, s: int, R_s: float) -> ExtremalConfig:
     """Single-entry window attaining the upper bound: p_s = R_s/(1+R_s),
     every other probability 0."""
+    n, s = _integer("n", n), _integer("s", s)
     if not 1 <= s <= n:
         raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
     if math.isnan(R_s) or R_s <= 0.0:
@@ -112,6 +113,7 @@ def upper_extremal(n: int, s: int, R_s: float) -> ExtremalConfig:
 def lower_extremal_case1(n: int, R_1: float) -> ExtremalConfig:
     """Constant sequence attaining the sub-unit lower bound:
     p_j = R_1/(n + R_1), so every odds equals R_1/n."""
+    n = _integer("n", n)
     if n < 1:
         raise InconsistentInput(f"need n >= 1, got {n}")
     if math.isnan(R_1) or not 0.0 < R_1 < 1.0:
@@ -134,6 +136,7 @@ def lower_extremal_case2(n: int, s: int) -> ExtremalConfig:
     """Equal window attaining the unit-sum lower bound:
     p_j = 1/(n-s+2) for j >= s, which puts every window odds at
     1/(n-s+1) and the suffix sum at exactly 1."""
+    n, s = _integer("n", n), _integer("s", s)
     if not 1 <= s <= n:
         raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
     m = n - s + 1
@@ -159,6 +162,7 @@ def lower_near_extremal_case3(
     window sum exceeds 1 + 1/(n-s).  The attained value stays strictly
     above the bound and the gap shrinks like (1-alpha)^2.
     """
+    n, s = _integer("n", n), _integer("s", s)
     if not 1 <= s < n:
         raise InconsistentInput(
             f"need 1 <= s < n (the strict case is empty at s = n), "

@@ -19,18 +19,23 @@ The three recurrences (backward induction and both threshold-rule
 sweeps) never form 1 - p: each step adds a p-weighted difference, as in
 Q -= p * Q, so a long run of small p does not repeat the rounding of
 1 - p in every factor.
+
+The verdict lives here too: :func:`cross_check` runs the four oracles
+that take any sequence and compares each with core's V_n; the
+``oracle-check`` command only renders its record.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import OddsSequence
+from .core import OddsSequence, _integer, threshold, win_probability
 from .errors import EmptySequence, IndexOutOfRange, InvalidArgument, TooLarge
 
+ORACLE_TOL = 1e-12  # agreement of each exact oracle with V_n
 EXHAUSTIVE_MAX_N = 20
 MC_CHUNK = 1 << 18  # uniforms per Monte Carlo draw
 _FSUM_SLICE = 1 << 12  # weights per tolist() fed to fsum
@@ -62,13 +67,6 @@ class SimulationReport:
     estimate: float
     std_error: float
     seed: int
-
-
-def _integer(name: str, x) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise InvalidArgument(f"{name} must be an integer, got {x!r}") from None
 
 
 def _window_start(k, n: int) -> int:
@@ -142,6 +140,7 @@ def lindley_threshold(n: int) -> int:
     left-shifted harmonic sums rather than the odds machinery, so it can
     cross-check ``threshold(secretary_sequence(n))``.
     """
+    n = _integer("n", n)
     if n < 1:
         raise EmptySequence("need n >= 1")
     # a[k] = a_k for 1 <= k <= n; a_n = 0 by the empty-sum convention.
@@ -210,10 +209,11 @@ def monte_carlo(
     into one draw buffer and one hit buffer allocated once, which bounds
     memory and does not change the numbers.  The report is therefore a
     function of (seed, trials, p_k..p_n) alone.  Raises InvalidArgument
-    when trials is not an integer or is below 1.
+    when trials or seed is not an integer, or trials is below 1.
     """
     k = _window_start(k, seq.n)
     trials = _integer("trials", trials)
+    seed = _integer("seed", seed)
     if trials < 1:
         raise InvalidArgument(f"need trials >= 1, got {trials}")
     import numpy as np
@@ -225,7 +225,7 @@ def monte_carlo(
     # the smallest unsigned type that holds the window width counts each
     # row's hits exactly, at one byte a row for windows below 256
     count_type = np.min_scalar_type(window.size)
-    rng = np.random.default_rng(int(seed) % (1 << 64))
+    rng = np.random.default_rng(seed % (1 << 64))
     wins = 0
     for start in range(0, trials, rows):
         m = min(rows, trials - start)
@@ -237,3 +237,42 @@ def monte_carlo(
     return SimulationReport(
         trials=trials, wins=wins, estimate=estimate, std_error=std_error, seed=seed
     )
+
+
+class CrossCheck(NamedTuple):
+    """``values``: formula (V_n), dp, threshold_family_max, exhaustive
+    (None above EXHAUSTIVE_MAX_N) and monte_carlo; ``checks``: whether
+    each oracle that ran agrees with V_n; ``agree``: whether all do."""
+
+    s: int
+    values: dict[str, float | None]
+    simulation: SimulationReport
+    checks: dict[str, bool]
+    agree: bool
+
+
+def cross_check(seq: OddsSequence, trials: int, seed: int) -> CrossCheck:
+    """Run the oracles at the threshold s of ``seq``.  An exact oracle
+    agrees within ORACLE_TOL of V_n (the family's maximum must also be
+    attained at s), Monte Carlo within 4 standard errors."""
+    t = threshold(seq)
+    v = win_probability(seq, t).value
+    dp = dp_optimal_value(seq).value
+    family = threshold_rule_values(seq)
+    best = max(family)
+    values = {"formula": v, "dp": dp, "threshold_family_max": best, "exhaustive": None}
+    checks = {
+        "dp": abs(dp - v) <= ORACLE_TOL,
+        "threshold_family": abs(best - v) <= ORACLE_TOL
+        and family[t.s - 1] >= best - ORACLE_TOL,
+    }
+    if seq.n <= EXHAUSTIVE_MAX_N:
+        values["exhaustive"] = exhaustive_value(seq, t.s)
+        checks["exhaustive"] = abs(values["exhaustive"] - v) <= ORACLE_TOL
+    sim = monte_carlo(seq, t.s, trials, seed)
+    values["monte_carlo"] = sim.estimate
+    # the band is the standard error under the hypothesis p = V_n, not the
+    # reported plug-in one, which is 0 when no trial wins
+    se = math.sqrt(max(v * (1.0 - v), 0.0) / sim.trials)
+    checks["monte_carlo"] = abs(sim.estimate - v) <= 4.0 * se
+    return CrossCheck(t.s, values, sim, checks, all(checks.values()))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from exact_oracle import decimal_window_win
-from oddsrule import threshold, validate_probabilities
+from oddsrule import DPResult, oracle, threshold, validate_probabilities
 
 CORPUS_SEED = 20260810
 CORPUS_SIZE = 10_000
@@ -30,3 +30,16 @@ def large_near_tie(request):
     seq = validate_probabilities(request.param + [1 / 99919] * 99918)
     s = threshold(seq).s
     return seq, s, float(decimal_window_win(seq.p, s))
+
+
+@pytest.fixture
+def dp_off_by_1e_9(monkeypatch):
+    """Make ``oracle.dp_optimal_value`` report V_n 1e-9 too high, far
+    outside the cross-check tolerance, for the disagreement path."""
+    exact = oracle.dp_optimal_value
+
+    def wrong(seq):
+        r = exact(seq)
+        return DPResult(value=r.value + 1e-9, stop_set=r.stop_set, continuation=r.continuation)
+
+    monkeypatch.setattr(oracle, "dp_optimal_value", wrong)

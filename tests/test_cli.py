@@ -293,6 +293,21 @@ class TestOracleCheck:
         assert doc["values"]["formula"] == 0.5
         assert abs(doc["values"]["exhaustive"] - 0.5) < 1e-15
 
+    def test_disagreement_exits_3_after_the_table(self, runner, dp_off_by_1e_9):
+        res = invoke(runner, "oracle-check", "--secretary", "20", "--trials", "20000")
+        assert res.exit_code == 3
+        assert "dp optimal" in res.stdout and "MISMATCH" in res.stdout
+        assert res.stderr == "error: oracle disagreement\n"
+        assert res.output.index("MISMATCH") < res.output.index("error: oracle disagreement")
+
+    def test_disagreement_json(self, runner, dp_off_by_1e_9):
+        res = invoke(runner, "oracle-check", "--format", "json", "--secretary", "20")
+        assert res.exit_code == 3
+        doc = json.loads(res.stdout)
+        assert doc["agree"] is False
+        assert doc["checks"]["dp"] is False
+        assert res.stderr == "error: oracle disagreement\n"
+
     @pytest.mark.parametrize("args", [["0.00001"], ["--format", "json", "1e-7"]])
     def test_v_n_far_below_one_over_trials_agrees(self, runner, args):
         # no trial wins, so the plug-in standard error is 0; the band is
@@ -654,6 +669,8 @@ S_EQUALS_N_20 = ",".join([repr(j / 40) for j in range(1, 20)] + ["0.75"])
 # 12 entries take the grid route of the suffix sums; the eleven odds 1/11
 # sum to 1 and set boundary_flag
 NEAR_TIE_12 = ",".join(["0.5"] + [repr(1 / 12)] * 11)
+# 25 entries: too many to enumerate, so the text says "skipped (n > 20)"
+N25 = ",".join(["0.2"] * 25)
 
 
 @pytest.mark.parametrize(
@@ -679,6 +696,8 @@ NEAR_TIE_12 = ",".join(["0.5"] + [repr(1 / 12)] * 11)
         ),
         ("version.txt", ["--version"]),
         ("analyze_near_tie_grid.json", ["analyze", "--format", "json", NEAR_TIE_12]),
+        ("oracle_check_secretary_20.txt", ["oracle-check", "--secretary", "20"]),
+        ("oracle_check_n25.txt", ["oracle-check", N25]),
     ],
 )
 def test_stdout_matches_golden_file(runner, name, args):

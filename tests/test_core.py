@@ -15,10 +15,16 @@ from oddsrule import (
     OutOfRange,
     ThresholdResult,
     bound_report,
+    corollary_bound,
     lindley_threshold,
+    lower_bound,
+    lower_extremal_case1,
+    lower_extremal_case2,
+    lower_near_extremal_case3,
     odds_to_prob,
     secretary_sequence,
     threshold,
+    upper_extremal,
     validate_probabilities,
     win_probability,
 )
@@ -442,3 +448,36 @@ class TestLindley:
     def test_rejects_nonpositive(self):
         with pytest.raises(EmptySequence):
             lindley_threshold(0)
+
+
+# Each function that takes a count n or an index s refuses a float, a
+# string or None with the package's own error: no TypeError from the
+# arithmetic, and no value computed from a fractional s.
+NON_INTEGER_CALLS = {
+    "lower_bound_case3": (lower_bound, (7, 6.5, 5.0), "s"),
+    "lower_bound_case2": (lower_bound, (7, 6.5, 1.5), "s"),
+    "lower_bound_n": (lower_bound, (7.0, 1, 1.5), "n"),
+    "corollary_bound_n": (corollary_bound, (7.5, 7), "n"),
+    "corollary_bound_s": (corollary_bound, (7, "7"), "s"),
+    "upper_extremal": (upper_extremal, (4, 1.0, 2.0), "s"),
+    "lower_extremal_case1": (lower_extremal_case1, (4.0, 0.5), "n"),
+    "lower_extremal_case2": (lower_extremal_case2, (4.0, 1), "n"),
+    "lower_near_extremal_case3": (lower_near_extremal_case3, (4, None), "s"),
+    "secretary_sequence": (secretary_sequence, (3.0,), "n"),
+    "lindley_threshold": (lindley_threshold, (3.5,), "n"),
+}
+
+
+@pytest.mark.parametrize("func, args, name", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
+def test_non_integer_n_or_s_is_invalid(func, args, name):
+    with pytest.raises(InvalidArgument, match=f"{name} must be an integer"):
+        func(*args)
+
+
+def test_integer_like_n_and_s_are_accepted():
+    n, s = np.int64(6), np.int64(3)
+    assert lower_bound(n, s, 1.2) == lower_bound(6, 3, 1.2)
+    assert corollary_bound(n, s) == corollary_bound(6, 3)
+    assert lower_extremal_case2(n, s) == lower_extremal_case2(6, 3)
+    assert secretary_sequence(n) == secretary_sequence(6)
+    assert lindley_threshold(n) == lindley_threshold(6)

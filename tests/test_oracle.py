@@ -9,6 +9,7 @@ from oddsrule import (
     IndexOutOfRange,
     InvalidArgument,
     TooLarge,
+    cross_check,
     dp_optimal_value,
     exhaustive_value,
     monte_carlo,
@@ -322,6 +323,12 @@ class TestMonteCarlo:
         with pytest.raises(InvalidArgument, match="trials must be an integer"):
             monte_carlo(seq, 1, trials, seed=1)
 
+    @pytest.mark.parametrize("seed", [2.7, "42", None], ids=["2.7", "str", "None"])
+    def test_non_integer_seed_is_invalid(self, seed):
+        seq = validate_probabilities([0.5, 0.5])
+        with pytest.raises(InvalidArgument, match="seed must be an integer"):
+            monte_carlo(seq, 1, 10, seed=seed)
+
     def test_negative_seed_normalized(self):
         seq = validate_probabilities([0.5, 0.5])
         rep = monte_carlo(seq, 1, 1000, seed=-7)
@@ -367,3 +374,36 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 16 * MC_CHUNK
+
+
+class TestCrossCheck:
+    def test_record_holds_each_oracle_value(self):
+        seq = secretary_sequence(20)
+        c = cross_check(seq, 20_000, 42)
+        s = threshold(seq).s
+        assert c.s == s == 8
+        assert c.values == {
+            "formula": win_probability(seq, threshold(seq)).value,
+            "dp": dp_optimal_value(seq).value,
+            "threshold_family_max": max(threshold_rule_values(seq)),
+            "exhaustive": exhaustive_value(seq, s),
+            "monte_carlo": c.simulation.estimate,
+        }
+        assert c.simulation == monte_carlo(seq, s, 20_000, 42)
+        assert c.checks == {
+            "dp": True, "threshold_family": True, "exhaustive": True, "monte_carlo": True
+        }
+        assert c.agree is True
+
+    def test_exhaustive_skipped_above_the_cap(self):
+        c = cross_check(validate_probabilities([0.2] * 25), 1_000, 42)
+        assert c.values["exhaustive"] is None
+        assert list(c.checks) == ["dp", "threshold_family", "monte_carlo"]
+        assert c.agree is True
+
+    def test_an_oracle_off_by_1e_9_disagrees(self, dp_off_by_1e_9):
+        c = cross_check(secretary_sequence(20), 20_000, 42)
+        assert c.checks == {
+            "dp": False, "threshold_family": True, "exhaustive": True, "monte_carlo": True
+        }
+        assert c.agree is False

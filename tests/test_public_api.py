@@ -7,6 +7,7 @@ import oddsrule
 
 PUBLIC_NAMES = {
     "BoundReport",
+    "CrossCheck",
     "DPResult",
     "EmptySequence",
     "ExtremalConfig",
@@ -26,6 +27,7 @@ PUBLIC_NAMES = {
     "WinProbability",
     "bound_report",
     "corollary_bound",
+    "cross_check",
     "dp_optimal_value",
     "exhaustive_value",
     "lindley_threshold",
@@ -60,7 +62,7 @@ MODULES = ("oddsrule", "oddsrule.bounds", "oddsrule.cli", "oddsrule.core",
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 39
     assert len(oddsrule.__all__) == len(PUBLIC_NAMES)
     assert set(oddsrule.__all__) == PUBLIC_NAMES
 
