@@ -25,15 +25,16 @@ examples = {
 
 print(f"{'sequence':18} {'s':>3} {'R_s':>8} {'lower':>10} {'V_n':>10} {'upper':>10}  case")
 for name, p in examples.items():
-    rep = bound_report(validate_probabilities(p))
-    rs = "inf" if math.isinf(rep.R_s) else f"{rep.R_s:.4f}"
+    seq = validate_probabilities(p)
+    rep, t = bound_report(seq), threshold(seq)
+    rs = "inf" if math.isinf(t.R_s) else f"{t.R_s:.4f}"
     marks = []
     if rep.equality["upper"]:
         marks.append("upper attained")
     if rep.equality["lower"]:
         marks.append("lower attained")
     print(
-        f"{name:18} {rep.s:>3} {rs:>8} {rep.lower:>10.6f} {rep.v_n:>10.6f} "
+        f"{name:18} {t.s:>3} {rs:>8} {rep.lower:>10.6f} {rep.v_n:>10.6f} "
         f"{rep.upper:>10.6f}  {rep.lower_case}"
         + (f"  <- {', '.join(marks)}" if marks else "")
     )

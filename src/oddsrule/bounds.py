@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import OddsSequence, ThresholdResult, _integer, odds_to_prob, threshold, win_probability
+from .core import OddsSequence, _window, odds_to_prob, threshold, win_probability
 from .errors import InconsistentInput, InternalBoundViolation
 
 # Slack for "bound satisfied" checks and tolerance for equality detection.
@@ -42,19 +42,20 @@ class LowerBound(NamedTuple):
     strict: bool
 
 
-def _compound_decay(m: int) -> float:
-    """(1 + 1/m)^(-m), decreasing in m toward 1/e from above.
+def _decay(R: float, m: int) -> float:
+    """R * (1 + R/m)^(-m): case 1 at (R_1, n); at R = 1.0 the value of
+    cases 2 and 3 and the corollary, decreasing in m toward 1/e from above.
 
-    Evaluated as exp(-m*log1p(1/m)) to dodge cancellation at large m.
-    The callers pass m >= 1: integer n and s with 1 <= s <= n, and
-    m = n - s only when s < n.
+    Evaluated as R * exp(-m*log1p(R/m)) to dodge cancellation at large m.
+    The callers pass m >= 1: integer n and s with 1 <= s <= n, and m = n - s
+    only when s < n.
     """
-    return math.exp(-m * math.log1p(1.0 / m))
+    return R * math.exp(-m * math.log1p(R / m))
 
 
-def upper_bound(t: ThresholdResult) -> float:
+def upper_bound(R_s: float) -> float:
     """R_s / (1 + R_s); 1 when the suffix sum is infinite."""
-    return odds_to_prob(t.R_s)
+    return odds_to_prob(R_s)
 
 
 def lower_bound(n: int, s: int, R_s: float) -> LowerBound:
@@ -65,9 +66,7 @@ def lower_bound(n: int, s: int, R_s: float) -> LowerBound:
     s = n the separating value 1 + 1/(n-s) is +inf, so case 2 absorbs
     every R_s >= 1.  A non-integer n or s raises InvalidArgument.
     """
-    n, s = _integer("n", n), _integer("s", s)
-    if not 1 <= s <= n:
-        raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
+    n, s = _window(n, s)
     if math.isnan(R_s) or R_s < 0.0:
         raise InconsistentInput(f"need R_s >= 0, got {R_s!r}")
     if R_s < 1.0:
@@ -75,12 +74,11 @@ def lower_bound(n: int, s: int, R_s: float) -> LowerBound:
             raise InconsistentInput(
                 f"R_s = {R_s!r} < 1 contradicts threshold s = {s} > 1"
             )
-        value = R_s * math.exp(-n * math.log1p(R_s / n))
-        return LowerBound(case=1, value=value, strict=False)
+        return LowerBound(case=1, value=_decay(R_s, n), strict=False)
     separator = math.inf if s == n else 1.0 + 1.0 / (n - s)
     if R_s <= separator:
-        return LowerBound(case=2, value=_compound_decay(n - s + 1), strict=False)
-    return LowerBound(case=3, value=_compound_decay(n - s), strict=True)
+        return LowerBound(case=2, value=_decay(1.0, n - s + 1), strict=False)
+    return LowerBound(case=3, value=_decay(1.0, n - s), strict=True)
 
 
 def corollary_bound(n: int, s: int) -> float:
@@ -90,30 +88,23 @@ def corollary_bound(n: int, s: int) -> float:
     automatic).  At s = 1 it equals the case-2 value and is reported for
     reference, with applicability labelled separately.
     """
-    n, s = _integer("n", n), _integer("s", s)
-    if not 1 <= s <= n:
-        raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
-    return _compound_decay(n - s + 1)
+    n, s = _window(n, s)
+    return _decay(1.0, n - s + 1)
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All applicable bounds for one sequence, with satisfaction and
-    equality flags (tolerance EQUALITY_TOL).
+    """What bound_report decides for one sequence: every bound's value,
+    the lower bound's case, applicability and equality flags (tolerance
+    EQUALITY_TOL), and the V_n they were checked against.
 
-    ``v_n``/``product_form`` and ``s``/``R_s``/``boundary_flag`` are the
-    win probability and threshold the bounds were checked against.
-
-    ``satisfied`` covers only the applicable bounds and is guaranteed
-    all-True: a violation raises InternalBoundViolation instead of being
-    reported, since by the theory it can only mean a bug.
+    The threshold and the odds-ratio form are not copied here: read them
+    from threshold(seq) and win_probability(seq, t).  No bound is ever
+    reported as violated: a violation raises InternalBoundViolation,
+    since by the theory it can only mean a bug.
     """
 
     v_n: float
-    product_form: float | None
-    s: int
-    R_s: float
-    boundary_flag: bool
     upper: float
     lower: float
     lower_case: int
@@ -123,16 +114,14 @@ class BoundReport:
     e_bound_applicable: bool
     e_bound: float
     allaart_islas: float
-    satisfied: dict[str, bool]
     equality: dict[str, bool]
 
 
 def bound_report(seq: OddsSequence) -> BoundReport:
     """Evaluate every bound against the exact V_n and assert all hold."""
     t = threshold(seq)
-    w = win_probability(seq, t)
-    v = w.value
-    up = upper_bound(t)
+    v = win_probability(seq, t).value
+    up = upper_bound(t.R_s)
     low = lower_bound(seq.n, t.s, t.R_s)
     cor = corollary_bound(seq.n, t.s)
     corollary_applicable = t.s >= 2
@@ -149,23 +138,18 @@ def bound_report(seq: OddsSequence) -> BoundReport:
         ("one_over_e", E_BOUND, e_bound_applicable),
         ("allaart_islas", allaart_islas, e_bound_applicable),
     )
-    satisfied, equality = {}, {}
+    equality = {}
     for bound_id, value, applies in table:
         if not applies:
             continue
         ok = v <= value + EQUALITY_TOL if bound_id == "upper" else v >= value - EQUALITY_TOL
         if not ok:
             raise InternalBoundViolation(bound_id, v, value)
-        satisfied[bound_id] = ok
         if bound_id != "one_over_e":
             equality[bound_id] = abs(v - value) <= EQUALITY_TOL
 
     return BoundReport(
         v_n=v,
-        product_form=w.product_form,
-        s=t.s,
-        R_s=t.R_s,
-        boundary_flag=t.boundary_flag,
         upper=up,
         lower=low.value,
         lower_case=low.case,
@@ -175,6 +159,5 @@ def bound_report(seq: OddsSequence) -> BoundReport:
         e_bound_applicable=e_bound_applicable,
         e_bound=E_BOUND,
         allaart_islas=allaart_islas,
-        satisfied=satisfied,
         equality=equality,
     )

@@ -25,8 +25,7 @@ import os
 import sys
 
 from . import __version__, bounds, core, extremal, oracle
-from .errors import InconsistentInput, IndexOutOfRange, InternalBoundViolation
-from .errors import InvalidArgument, OddsRuleError
+from .errors import InconsistentInput, InternalBoundViolation, InvalidArgument, OddsRuleError
 
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
@@ -212,8 +211,7 @@ def _generate_extremal(family: str, params: dict) -> extremal.ExtremalConfig:
 
 
 def resolve_sequence(args: argparse.Namespace) -> core.OddsSequence:
-    """The validated sequence named by the one input given; invalid input
-    exits with code 2."""
+    """The validated sequence named by the one input given."""
     given = [
         x
         for x in (args.probs, args.file_path, args.secretary_n, args.extremal_spec)
@@ -223,16 +221,13 @@ def resolve_sequence(args: argparse.Namespace) -> core.OddsSequence:
         raise UsageError(
             "provide exactly one input: inline PROBS, --file, --secretary or --extremal"
         )
-    try:
-        if args.secretary_n is not None:
-            return core.secretary_sequence(args.secretary_n)
-        if args.extremal_spec is not None:
-            return _parse_extremal_spec(args.extremal_spec).seq
-        if args.probs is None:
-            return core.validate_probabilities(_parse_file(args.file_path))
-        return core.validate_probabilities(_parse_floats(args.probs, "PROBS"))
-    except OddsRuleError as exc:
-        _fail(str(exc))
+    if args.secretary_n is not None:
+        return core.secretary_sequence(args.secretary_n)
+    if args.extremal_spec is not None:
+        return _parse_extremal_spec(args.extremal_spec).seq
+    if args.probs is None:
+        return core.validate_probabilities(_parse_file(args.file_path))
+    return core.validate_probabilities(_parse_floats(args.probs, "PROBS"))
 
 
 # ---------------------------------------------------------------- analyze
@@ -240,27 +235,29 @@ def resolve_sequence(args: argparse.Namespace) -> core.OddsSequence:
 
 def _analysis_document(seq: core.OddsSequence) -> dict:
     report = bounds.bound_report(seq)
+    t = core.threshold(seq)
+    # a bound that fails raises in bound_report, so both are "satisfied"
     return {
         "n": seq.n,
         "p": list(seq.p),
         "odds": list(seq.r),
         "suffix_sums": list(seq.R),
-        "s": report.s,
-        "R_s": report.R_s,
-        "boundary_flag": report.boundary_flag,
+        "s": t.s,
+        "R_s": t.R_s,
+        "boundary_flag": t.boundary_flag,
         "v_n": report.v_n,
-        "v_n_odds_ratio": report.product_form,
+        "v_n_odds_ratio": core.win_probability(seq, t).product_form,
         "bounds": {
             "upper": {
                 "value": report.upper,
-                "satisfied": report.satisfied["upper"],
+                "satisfied": True,
                 "equality": report.equality["upper"],
             },
             "lower": {
                 "value": report.lower,
                 "case": report.lower_case,
                 "strict": report.lower_strict,
-                "satisfied": report.satisfied["lower"],
+                "satisfied": True,
                 "equality": report.equality["lower"],
             },
             "corollary": {
@@ -313,10 +310,7 @@ def _print_analysis_text(doc: dict) -> None:
 
 
 def _run_analysis(seq: core.OddsSequence, output_format: str) -> None:
-    try:
-        doc = _analysis_document(seq)
-    except InternalBoundViolation as exc:
-        _fail(str(exc), EXIT_VERIFY)
+    doc = _analysis_document(seq)
     if output_format == "json":
         print(render_json(doc))
     else:
@@ -416,7 +410,7 @@ def sweep(args: argparse.Namespace) -> None:
                     print(f"notice: skipping inconsistent point n={n} s={s} R_s={rs}: {exc}",
                           file=sys.stderr)
                     continue
-                upper = core.odds_to_prob(rs)
+                upper = bounds.upper_bound(rs)
                 corollary = bounds.corollary_bound(n, s)
                 v_n = _sweep_attained_value(n, s, rs, low.case)
                 lines.append(
@@ -474,10 +468,7 @@ def extremal_cmd(args: argparse.Namespace) -> None:
     family for the strict lower bound).
     """
     given = {key: getattr(args, key) for key in ("n", "s", "rs", "alpha")}
-    try:
-        cfg = _generate_extremal(args.family, {k: v for k, v in given.items() if v is not None})
-    except OddsRuleError as exc:
-        _fail(str(exc))
+    cfg = _generate_extremal(args.family, {k: v for k, v in given.items() if v is not None})
     seq = cfg.seq
     v = core.win_probability(seq, core.threshold(seq)).value
     if args.output_format == "json":
@@ -507,10 +498,7 @@ def simulate(args: argparse.Namespace) -> None:
     """Monte Carlo estimate of a threshold rule's win probability."""
     seq = resolve_sequence(args)
     rule_k = core.threshold(seq).s if args.k is None else args.k
-    try:
-        exact = oracle.threshold_rule_value(seq, rule_k)
-    except IndexOutOfRange as exc:
-        _fail(str(exc))
+    exact = oracle.threshold_rule_value(seq, rule_k)
     sim = oracle.monte_carlo(seq, rule_k, args.trials, args.seed)
     if args.output_format == "json":
         print(render_json({
@@ -598,9 +586,10 @@ def _attach_values(argv: list[str], takes_value: set[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> None:
-    """Run the command named in ``argv`` (default ``sys.argv[1:]``); exits 2
-    on invalid input or usage, or a request too large for memory, 3 on a
-    failed internal check."""
+    """Run the command named in ``argv`` (default ``sys.argv[1:]``).  The
+    one place that maps library errors to exit codes: 3 for a failed
+    internal check (InternalBoundViolation), 2 for any other OddsRuleError,
+    as for invalid usage or a request too large for memory."""
     parser, takes_value = _parser()
     argv = _attach_values(sys.argv[1:] if argv is None else argv, takes_value)
     args, extra = parser.parse_known_args(argv)
@@ -614,6 +603,10 @@ def main(argv: list[str] | None = None) -> None:
         sys.stdout.flush()  # here, so that a closed pipe is caught below
     except UsageError as exc:
         args.parser.error(str(exc))
+    except InternalBoundViolation as exc:
+        _fail(str(exc), EXIT_VERIFY)
+    except OddsRuleError as exc:
+        _fail(str(exc))
     except MemoryError:
         # a size such as --n 2**62 that no list of that length can hold
         _fail("not enough memory for this request")

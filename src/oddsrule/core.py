@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from typing import Sequence
 
-from .errors import EmptySequence, InvalidArgument, NotANumber, OutOfRange
+from .errors import EmptySequence, InconsistentInput, InvalidArgument, NotANumber, OutOfRange
 
 # |R_l - 1| below this marks the threshold decision as numerically touchy.
 BOUNDARY_EPS = 1e-9
@@ -66,6 +66,14 @@ def _integer(name: str, x) -> int:
         return operator.index(x)
     except TypeError:
         raise InvalidArgument(f"{name} must be an integer, got {x!r}") from None
+
+
+def _window(n, s) -> tuple[int, int]:
+    """n and s as ints with 1 <= s <= n, else InconsistentInput."""
+    n, s = _integer("n", n), _integer("s", s)
+    if not 1 <= s <= n:
+        raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
+    return n, s
 
 
 def odds_to_prob(r: float) -> float:
@@ -130,7 +138,7 @@ class OddsSequence:
         stop = len(odds) - odds[::-1].index(math.inf) if math.inf in odds else 0
         sums = _grid_suffix_sums(odds, stop)
         if sums is None:
-            return tuple(_loop_suffix_sums(odds))
+            sums = _loop_suffix_sums(odds, stop)
         sums[:0] = [math.inf] * stop
         return tuple(sums)
 
@@ -251,18 +259,16 @@ def _grid_suffix_sums(odds: tuple[float, ...], stop: int) -> list[float] | None:
     return sums
 
 
-def _loop_suffix_sums(odds: tuple[float, ...]) -> list[float]:
-    # A finite double is m / d with d a power of two, so the running sum is
-    # the exact integer ``total`` in units of 1/D, D the largest d seen so
+def _loop_suffix_sums(odds: tuple[float, ...], stop: int) -> list[float]:
+    # Suffix sums of the finite tail odds[stop:], entry by entry.  A finite
+    # double is m / d with d a power of two, so the running sum is the
+    # exact integer ``total`` in units of 1/D, D the largest d seen so
     # far; a larger d rescales ``total`` by a shift, and int / int true
     # division rounds correctly.
-    sums = [math.inf] * len(odds)
+    sums = [0.0] * (len(odds) - stop)
     total, D, k = 0, 1, 1  # k = D.bit_length()
-    for j in range(len(odds) - 1, -1, -1):
-        x = odds[j]
-        if x == math.inf:
-            break
-        m, d = x.as_integer_ratio()
+    for j in range(len(sums) - 1, -1, -1):
+        m, d = odds[stop + j].as_integer_ratio()
         e = d.bit_length()
         if e > k:
             total <<= e - k
@@ -281,10 +287,14 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
     rejects: OutOfRange for a number beyond float range such as 10**400,
     NotANumber for anything else (None, a complex, a non-numeric string).
     InvalidArgument for a str, bytes or bytearray ``p`` (not read as entries),
-    a set or frozenset (it has no order) or an iterator (it can be read only
-    once).
+    a set or frozenset (it has no order), an iterator (it can be read only
+    once) or a ``p`` that is not iterable (a number, None).
     """
-    if isinstance(p, (str, bytes, bytearray, set, frozenset)) or iter(p) is p:
+    try:
+        refused = isinstance(p, (str, bytes, bytearray, set, frozenset)) or iter(p) is p
+    except TypeError:
+        refused = True
+    if refused:
         raise InvalidArgument(f"need a sequence of probabilities, got {type(p).__name__}")
     try:
         probs = tuple(map(float, p))

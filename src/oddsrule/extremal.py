@@ -9,9 +9,9 @@ where it was requested.
 
 The generators guarantee ``threshold(seq).s`` equals the requested ``s``.
 Because the odds are re-derived from the rounded probabilities, the
-window head sometimes needs an upward nudge so that the suffix odds sum
-crosses 1 exactly (e.g. m equal odds of nominal value 1/m can round to
-one ulp below 1).  The generators take the smallest nudge that works.
+case-2 window head sometimes needs an upward nudge so that the suffix
+odds sum crosses 1 exactly (e.g. m equal odds of nominal value 1/m can
+round to one ulp below 1).  The generator takes the smallest that works.
 For the case-2 window of width 1..1000 it ranges from 0 to 730 ulps,
 and the attained value stays within 2.3e-16 of the bound (s = 1 and
 s = 4), far inside the 1e-12 equality tolerance.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .bounds import lower_bound, upper_bound
-from .core import OddsSequence, _integer, odds_to_prob, threshold, validate_probabilities
+from .core import OddsSequence, _integer, _window, odds_to_prob, threshold, validate_probabilities
 from .errors import InconsistentInput
 
 DEFAULT_ALPHA = 1.0 - 1e-3
@@ -53,23 +53,19 @@ def _ulps_above(x: float, ulps: int) -> float:
     return min(struct.unpack("<d", struct.pack("<q", bits))[0], 1.0)
 
 
-def _build_at_threshold(
-    p: list[float], s: int, require_unit_sum: bool = False
-) -> OddsSequence:
-    # Raise p_s by the fewest ulps that put the threshold at s (and, when
-    # asked, make R_s itself reach 1: at s = 1 the threshold cannot tell
-    # R_1 = 1 from a sum one ulp short).  R_{s+1..n} does not depend on
-    # p_s and R_s grows with it, so the condition is monotone in the ulp
-    # count: double the count until it holds, then bisect for the least.
+def _build_at_threshold(p: list[float], s: int) -> OddsSequence:
+    # Raise p_s by the fewest ulps that put the threshold at s with R_s
+    # itself at least 1 (at s = 1 the threshold cannot tell R_1 = 1 from
+    # a sum one ulp short).  R_{s+1..n} does not depend on p_s and R_s
+    # grows with it, so the condition is monotone in the ulp count:
+    # double the count until it holds, then bisect for the least.
     head = p[s - 1]
 
     def build(ulps: int) -> OddsSequence | None:
         p[s - 1] = _ulps_above(head, ulps)
         seq = validate_probabilities(p)
         t = threshold(seq)
-        if t.s == s and not (require_unit_sum and t.R_s < 1.0):
-            return seq
-        return None
+        return seq if t.s == s and t.R_s >= 1.0 else None
 
     lo, hi = -1, 0  # build(lo) fails, build(hi) is tried next
     while (seq := build(hi)) is None:
@@ -88,10 +84,10 @@ def _build_at_threshold(
 
 def upper_extremal(n: int, s: int, R_s: float) -> ExtremalConfig:
     """Single-entry window attaining the upper bound: p_s = R_s/(1+R_s),
-    every other probability 0."""
-    n, s = _integer("n", n), _integer("s", s)
-    if not 1 <= s <= n:
-        raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
+    every other probability 0.  It needs no nudge: for R_s >= 1, p_s >= 1/2,
+    so 1 - p_s is exact and the stored odds are >= 1; at s = 1 any p_s works.
+    """
+    n, s = _window(n, s)
     if math.isnan(R_s) or R_s <= 0.0:
         raise InconsistentInput(f"need R_s > 0, got {R_s!r}")
     if s > 1 and R_s < 1.0:
@@ -100,11 +96,10 @@ def upper_extremal(n: int, s: int, R_s: float) -> ExtremalConfig:
         )
     p = [0.0] * n
     p[s - 1] = odds_to_prob(R_s)
-    seq = _build_at_threshold(p, s)
-    t = threshold(seq)
+    seq = validate_probabilities(p)
     return ExtremalConfig(
         seq=seq,
-        target_bound=upper_bound(t),
+        target_bound=upper_bound(threshold(seq).R_s),
         attainment="exact",
         parameters=GenerationParameters(n=n, s=s, R_s=R_s),
     )
@@ -136,12 +131,10 @@ def lower_extremal_case2(n: int, s: int) -> ExtremalConfig:
     """Equal window attaining the unit-sum lower bound:
     p_j = 1/(n-s+2) for j >= s, which puts every window odds at
     1/(n-s+1) and the suffix sum at exactly 1."""
-    n, s = _integer("n", n), _integer("s", s)
-    if not 1 <= s <= n:
-        raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
+    n, s = _window(n, s)
     m = n - s + 1
     p = [0.0] * (s - 1) + [1.0 / (m + 1)] * m
-    seq = _build_at_threshold(p, s, require_unit_sum=True)
+    seq = _build_at_threshold(p, s)
     t = threshold(seq)
     low = lower_bound(n, s, t.R_s)
     return ExtremalConfig(

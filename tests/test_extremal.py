@@ -1,5 +1,9 @@
+import math
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from oddsrule import (
     InconsistentInput,
@@ -7,6 +11,7 @@ from oddsrule import (
     lower_extremal_case1,
     lower_extremal_case2,
     lower_near_extremal_case3,
+    odds_to_prob,
     threshold,
     upper_bound,
     upper_extremal,
@@ -26,6 +31,16 @@ LARGE_NUDGE_WIDTHS = (
 
 def _win(seq):
     return win_probability(seq, threshold(seq)).value
+
+
+@st.composite
+def upper_requests(draw):
+    """(n, s, R_s) that upper_extremal accepts: R_s >= 1 (inf included)
+    at any s, and R_s in (0, 1) only at s = 1."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    s = draw(st.integers(min_value=1, max_value=n))
+    below_one = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    return n, s, draw(st.floats(min_value=1.0) | (below_one if s == 1 else st.nothing()))
 
 
 class TestUpperExtremal:
@@ -54,8 +69,22 @@ class TestUpperExtremal:
             cfg = upper_extremal(n, s, R_s)
             t = threshold(cfg.seq)
             assert t.s == s
-            assert abs(_win(cfg.seq) - upper_bound(t)) <= 1e-15
+            assert abs(_win(cfg.seq) - upper_bound(t.R_s)) <= 1e-15
             assert abs(_win(cfg.seq) - cfg.target_bound) <= 1e-15
+
+    @given(upper_requests())
+    @example((5, 3, 1.0))
+    @example((5, 3, math.nextafter(1.0, 2.0)))
+    @example((5, 5, 1e300))
+    @example((5, 2, math.inf))
+    @example((3, 1, 5e-324))
+    def test_p_s_needs_no_nudge(self, args):
+        # for R_s >= 1, p_s >= 1/2, so 1 - p_s is exact and the stored odds
+        # are at least 1; at s = 1 any p_s leaves the threshold at 1
+        n, s, R_s = args
+        cfg = upper_extremal(n, s, R_s)
+        assert cfg.seq.p[s - 1] == odds_to_prob(R_s)
+        assert threshold(cfg.seq).s == s
 
     def test_rejects_sub_unit_sum_with_late_threshold(self):
         with pytest.raises(InconsistentInput):
@@ -217,7 +246,7 @@ class TestPerturbationBreaksEquality:
                 if t.s != s:
                     continue
                 tested += 1
-                assert _win(seq) < upper_bound(t)
+                assert _win(seq) < upper_bound(t.R_s)
         assert tested > 50
 
     def test_case1_config_perturbations(self):
@@ -282,10 +311,10 @@ class TestUpperUniqueness:
                 continue
             checked += 1
             v = _win(seq)
-            assert v <= upper_bound(t) + 1e-15
-            if abs(v - upper_bound(t)) <= 1e-12:
+            assert v <= upper_bound(t.R_s) + 1e-15
+            if abs(v - upper_bound(t.R_s)) <= 1e-12:
                 attained += 1
         assert attained == 0
         # ... while the one-hot profile does attain it
         cfg = upper_extremal(n, s, R_s)
-        assert abs(_win(cfg.seq) - upper_bound(threshold(cfg.seq))) <= 1e-15
+        assert abs(_win(cfg.seq) - upper_bound(threshold(cfg.seq).R_s)) <= 1e-15
