@@ -22,10 +22,9 @@ full odds sum reaches 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import OddsSequence, _window, odds_to_prob, threshold, win_probability
+from .core import OddsSequence, _odds, _window, odds_to_prob, threshold, win_probability
 from .errors import InconsistentInput, InternalBoundViolation
 
 # Slack for "bound satisfied" checks and tolerance for equality detection.
@@ -54,7 +53,11 @@ def _decay(R: float, m: int) -> float:
 
 
 def upper_bound(R_s: float) -> float:
-    """R_s / (1 + R_s); 1 when the suffix sum is infinite."""
+    """R_s / (1 + R_s); 1 when the suffix sum is infinite.
+
+    Raises InconsistentInput for a NaN or negative R_s, InvalidArgument
+    for a non-number.
+    """
     return odds_to_prob(R_s)
 
 
@@ -64,11 +67,11 @@ def lower_bound(n: int, s: int, R_s: float) -> LowerBound:
     Case 1 applies for R_s < 1 (only consistent with s = 1); case 2 on
     the closed interval [1, 1 + 1/(n-s)]; case 3 strictly above it.  At
     s = n the separating value 1 + 1/(n-s) is +inf, so case 2 absorbs
-    every R_s >= 1.  A non-integer n or s raises InvalidArgument.
+    every R_s >= 1.  A non-integer n or s, or a non-number R_s, raises
+    InvalidArgument; a NaN or negative R_s, InconsistentInput.
     """
     n, s = _window(n, s)
-    if math.isnan(R_s) or R_s < 0.0:
-        raise InconsistentInput(f"need R_s >= 0, got {R_s!r}")
+    _odds(R_s)
     if R_s < 1.0:
         if s > 1:
             raise InconsistentInput(
@@ -92,8 +95,7 @@ def corollary_bound(n: int, s: int) -> float:
     return _decay(1.0, n - s + 1)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """What bound_report decides for one sequence: every bound's value,
     the lower bound's case, applicability and equality flags (tolerance
     EQUALITY_TOL), and the V_n they were checked against.
@@ -148,16 +150,8 @@ def bound_report(seq: OddsSequence) -> BoundReport:
         if bound_id != "one_over_e":
             equality[bound_id] = abs(v - value) <= EQUALITY_TOL
 
+    # in field order: binding 11 keywords would cost more than the tuple
     return BoundReport(
-        v_n=v,
-        upper=up,
-        lower=low.value,
-        lower_case=low.case,
-        lower_strict=low.strict,
-        corollary=cor,
-        corollary_applicable=corollary_applicable,
-        e_bound_applicable=e_bound_applicable,
-        e_bound=E_BOUND,
-        allaart_islas=allaart_islas,
-        equality=equality,
+        v, up, low.value, low.case, low.strict, cor, corollary_applicable,
+        e_bound_applicable, E_BOUND, allaart_islas, equality,
     )

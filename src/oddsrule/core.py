@@ -16,7 +16,7 @@ sequence computes its threshold and V_n once, on first use, and builds
 the full tuple of suffix sums only when it is read.
 
 All public indices are 1-based, matching the usual mathematical
-convention; the tuples stored on the dataclasses are ordinary 0-based
+convention; the tuples stored on the records are ordinary 0-based
 Python containers.
 """
 
@@ -25,9 +25,8 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptySequence, InconsistentInput, InvalidArgument, NotANumber, OutOfRange
 
@@ -76,14 +75,29 @@ def _window(n, s) -> tuple[int, int]:
     return n, s
 
 
+def _odds(r) -> None:
+    """InconsistentInput for a NaN or negative odds (sum) r, InvalidArgument
+    for a non-number; any r >= 0, +inf included, passes."""
+    try:
+        ok = r >= 0.0  # False for NaN
+    except TypeError:
+        raise InvalidArgument(f"R_s must be a number, got {r!r}") from None
+    if not ok:
+        raise InconsistentInput(f"need R_s >= 0, got {r!r}")
+
+
 def odds_to_prob(r: float) -> float:
-    """Probability r/(1+r) of odds r, with inf mapping to 1."""
+    """Probability r/(1+r) of odds r, with inf mapping to 1.
+
+    Raises InconsistentInput for a NaN or negative r, InvalidArgument for
+    a non-number.
+    """
+    _odds(r)
     if math.isinf(r):
         return 1.0
     return r / (1.0 + r)
 
 
-@dataclass(frozen=True)
 class OddsSequence:
     """Validated success probabilities with their odds.
 
@@ -112,16 +126,43 @@ class OddsSequence:
     Other inputs take a per-entry loop that keeps the sum in units of the
     largest denominator seen so far; both give the same bits.
 
-    ``R``, the threshold and V_n are memos filled on first use, not
-    fields, so ``==``, ``hash`` and ``dataclasses.replace`` see only ``p``
-    and ``r``.  Instances are safe to share between threads: no lock is
-    taken, and threads that race to fill a memo compute equal values, not
-    necessarily the identical object.  Construct them via
-    :func:`validate_probabilities`.
+    Instances are immutable: assigning or deleting an attribute raises
+    AttributeError.  ``R``, the threshold and V_n are memos filled on
+    first use in the instance ``__dict__``, not fields, so ``==``,
+    ``hash``, ``repr`` and pickle see only ``p`` and ``r``.  Instances are
+    safe to share between threads: no lock is taken, and threads that
+    race to fill a memo compute equal values, not necessarily the
+    identical object.  Construct them via :func:`validate_probabilities`.
     """
 
     p: tuple[float, ...]
     r: tuple[float, ...]
+
+    def __init__(self, p: tuple[float, ...], r: tuple[float, ...]):
+        fields = self.__dict__
+        fields["p"] = p
+        fields["r"] = r
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: OddsSequence is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: OddsSequence is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.r) == (other.p, other.r)
+
+    def __hash__(self):
+        return hash((self.p, self.r))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(p={self.p!r}, r={self.r!r})"
+
+    def __reduce__(self):
+        # the memos stay behind: a copy fills its own on first use
+        return type(self), (self.p, self.r)
 
     @property
     def n(self) -> int:
@@ -192,7 +233,7 @@ class OddsSequence:
         R_s = R_lo if s > 1 else _suffix_sum(r, 1)
         # abs(inf - 1.0) is never below BOUNDARY_EPS: inf needs no test
         boundary = abs(R_s - 1.0) < BOUNDARY_EPS or abs(R_hi - 1.0) < BOUNDARY_EPS
-        return ThresholdResult(s=s, R_s=R_s, boundary_flag=boundary), R_hi
+        return ThresholdResult(s, R_s, boundary), R_hi
 
     @_memo
     def _win_probability(self) -> WinProbability:
@@ -203,11 +244,10 @@ class OddsSequence:
         product_form = None
         if p_s != 1.0:
             product_form = t.R_s / math.prod(map(operator.add, repeat(1.0), self.r[s - 1 :]))
-        return WinProbability(value=value, product_form=product_form)
+        return WinProbability(value, product_form)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Threshold index ``s`` plus the suffix odds sum at ``s``.
 
     ``boundary_flag`` warns that some finite suffix sum sits within 1e-9
@@ -220,8 +260,7 @@ class ThresholdResult:
     boundary_flag: bool
 
 
-@dataclass(frozen=True)
-class WinProbability:
+class WinProbability(NamedTuple):
     """Success probability of the odds rule.
 
     ``value`` is V_n, finite and correct also when p_s = 1.
@@ -312,7 +351,7 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
         raise EmptySequence("need at least one probability")
     # The range check rides in the odds pass.
     odds = tuple([x / (1.0 - x) if 0.0 <= x < 1.0 else _odds_outside(probs, x) for x in probs])
-    return OddsSequence(p=probs, r=odds)
+    return OddsSequence(probs, odds)
 
 
 def _odds_outside(probs: tuple[float, ...], x: float) -> float:

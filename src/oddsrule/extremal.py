@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .bounds import lower_bound, upper_bound
 from .core import OddsSequence, _integer, _window, odds_to_prob, threshold, validate_probabilities
@@ -31,16 +30,14 @@ from .errors import InconsistentInput
 DEFAULT_ALPHA = 1.0 - 1e-3
 
 
-@dataclass(frozen=True)
-class GenerationParameters:
+class GenerationParameters(NamedTuple):
     n: int
     s: int
     R_s: float
     alpha: float | None = None
 
 
-@dataclass(frozen=True)
-class ExtremalConfig:
+class ExtremalConfig(NamedTuple):
     seq: OddsSequence
     target_bound: float
     attainment: Literal["exact", "limiting"]

@@ -53,6 +53,10 @@ class DPResult:
     with Q_k the probability of no success in [k, n].  ``stop_set``
     holds the indices where stopping on an observed success is strictly
     better than continuing; on ties the rule continues (stop-late).
+
+    Unlike the package's other records this one stays a frozen dataclass:
+    the benchmark's smoke test builds a wrong value with
+    ``dataclasses.replace`` on it (ROADMAP item 6).
     """
 
     value: float
@@ -60,8 +64,7 @@ class DPResult:
     continuation: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     trials: int
     wins: int
     estimate: float

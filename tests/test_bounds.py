@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ from exact_oracle import (
 from oddsrule import (
     BoundReport,
     InconsistentInput,
+    InvalidArgument,
     NotANumber,
     bound_report,
     corollary_bound,
@@ -40,6 +40,17 @@ class TestUpperBound:
 
     def test_infinite_sum(self):
         assert upper_bound(math.inf) == 1.0
+
+    def test_refuses_a_nan_or_negative_sum(self):
+        # these raised ZeroDivisionError or returned -1.0, 2.0, nan and 1.0
+        for R_s in (-1.0, -0.5, -2.0, math.nan, -math.inf):
+            with pytest.raises(InconsistentInput, match="need R_s >= 0"):
+                upper_bound(R_s)
+
+    def test_refuses_a_non_number(self):
+        for R_s in ("x", None, 1j):
+            with pytest.raises(InvalidArgument):
+                upper_bound(R_s)
 
 
 class TestLowerBound:
@@ -84,6 +95,10 @@ class TestLowerBound:
             lower_bound(5, 6, 1.0)
         with pytest.raises(InconsistentInput):
             lower_bound(5, 1, -0.1)
+        with pytest.raises(InconsistentInput, match="need R_s >= 0"):
+            lower_bound(5, 1, math.nan)
+        with pytest.raises(InvalidArgument):
+            lower_bound(5, 2, "1.5")
 
 
 class TestCorollaryBound:
@@ -178,7 +193,7 @@ class TestBoundReport:
     def test_fields_are_what_bound_report_decides(self):
         # the threshold and the odds-ratio form have their own records,
         # and a violated bound raises, so none of them is copied here
-        assert [f.name for f in dataclasses.fields(BoundReport)] == [
+        assert list(BoundReport._fields) == [
             "v_n", "upper", "lower", "lower_case", "lower_strict", "corollary",
             "corollary_applicable", "e_bound_applicable", "e_bound", "allaart_islas",
             "equality",

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 import sys
@@ -12,6 +11,7 @@ from oddsrule import (
     EmptySequence,
     InvalidArgument,
     NotANumber,
+    OddsSequence,
     OutOfRange,
     ThresholdResult,
     bound_report,
@@ -329,7 +329,7 @@ class CountingTuple(tuple):
 class TestMemo:
     def test_window_is_evaluated_once(self):
         seq = validate_probabilities([0.1, 0.4, 0.3, 0.2, 0.25])
-        seq = dataclasses.replace(seq, p=CountingTuple(seq.p), r=CountingTuple(seq.r))
+        seq = OddsSequence(CountingTuple(seq.p), CountingTuple(seq.r))
         t = threshold(seq)
         w = win_probability(seq, t)
         report = bound_report(seq)
@@ -345,10 +345,12 @@ class TestMemo:
         probs = [0.1, 0.4, 0.3, 0.2]
         seq, fresh = validate_probabilities(probs), validate_probabilities(probs)
         bound_report(seq)
-        assert [field.name for field in dataclasses.fields(seq)] == ["p", "r"]
+        assert set(vars(fresh)) == {"p", "r"}
+        assert set(vars(seq)) > {"p", "r"}  # the memos are filled
         assert seq == fresh
         assert hash(seq) == hash(fresh)
         assert repr(seq) == repr(fresh)
+        assert pickle.dumps(seq) == pickle.dumps(fresh)
         for copy in (pickle.loads(pickle.dumps(seq)), pickle.loads(pickle.dumps(fresh))):
             assert copy == fresh
             assert hash(copy) == hash(fresh)
@@ -360,7 +362,7 @@ class TestMemo:
         w = win_probability(seq, threshold(seq))
         R = seq.R
         other = validate_probabilities([0.6, 0.1, 0.1])
-        moved = dataclasses.replace(seq, p=other.p, r=other.r)
+        moved = OddsSequence(other.p, other.r)
         assert moved == other
         assert moved.R == other.R != R
         assert threshold(moved) == threshold(other)
