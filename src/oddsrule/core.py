@@ -75,14 +75,20 @@ def _window(n, s) -> tuple[int, int]:
     return n, s
 
 
+def _number(name: str, x):
+    """x itself when math.isnan takes it (NaN and inf are numbers too),
+    else InvalidArgument."""
+    try:
+        math.isnan(x)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be a number, got {x!r}") from None
+    return x
+
+
 def _odds(r) -> None:
     """InconsistentInput for a NaN or negative odds (sum) r, InvalidArgument
     for a non-number; any r >= 0, +inf included, passes."""
-    try:
-        ok = r >= 0.0  # False for NaN
-    except TypeError:
-        raise InvalidArgument(f"R_s must be a number, got {r!r}") from None
-    if not ok:
+    if not _number("R_s", r) >= 0.0:  # False for NaN
         raise InconsistentInput(f"need R_s >= 0, got {r!r}")
 
 
@@ -187,8 +193,7 @@ class OddsSequence:
     def _threshold(self) -> tuple[ThresholdResult, float]:
         # The threshold and R_{s+1} (0.0 at s = n).  R_l >= 1 holds for
         # l <= s and fails after, so a float running sum from the back
-        # guesses s and correctly rounded probes of R_l confirm the guess,
-        # or gallop from it by doubling steps and bisect the bracket.
+        # guesses s and correctly rounded probes of R_l search from it.
         r, n = self.r, len(self.r)
 
         # The guess is where the running sum first reaches 1 (0: never).
@@ -200,35 +205,23 @@ class OddsSequence:
             if chunk[-1] >= 1.0:
                 break
         guess = n - below
-        # s is in [lo, hi): lo is 1 or has R_lo >= 1, and R_hi < 1.  Only
-        # l >= 2 is probed, and each at most once; R_1 is summed only when
-        # s = 1, since nothing else needs it.
+        # s is in [lo, hi): lo is 1 or has R_lo >= 1, and R_hi < 1.  The
+        # first probe is at the guess, the next at base + step after a
+        # pass and base - step after a fail, the step doubling, and at the
+        # midpoint wherever that is not inside the bracket: none repeats.
+        # Below 2 the search starts as if l = base = 1 had passed, so R_1
+        # is summed only when s = 1, since nothing else needs it.
         lo, hi, R_lo, R_hi = 1, n + 1, 0.0, 0.0
-        if guess < 2 or (R_guess := _suffix_sum(r, guess)) >= 1.0:
-            if guess >= 2:
-                lo, R_lo = guess, R_guess
-            base, step = lo, 1
-            while base + step < hi:
-                x = _suffix_sum(r, base + step)
-                if x < 1.0:
-                    hi, R_hi = base + step, x
-                    break
-                lo, R_lo, step = base + step, x, 2 * step
-        else:
-            hi, R_hi, step = guess, R_guess, 1
-            while guess - step > lo:
-                x = _suffix_sum(r, guess - step)
-                if x >= 1.0:
-                    lo, R_lo = guess - step, x
-                    break
-                hi, R_hi, step = guess - step, x, 2 * step
+        base, l, step = (guess, guess, 1) if guess > 1 else (1, 2, 2)
         while hi - lo > 1:
-            mid = (lo + hi) // 2
-            x = _suffix_sum(r, mid)
+            if not lo < l < hi:
+                l = (lo + hi) // 2
+            x = _suffix_sum(r, l)
             if x >= 1.0:
-                lo, R_lo = mid, x
+                lo, R_lo, l = l, x, base + step
             else:
-                hi, R_hi = mid, x
+                hi, R_hi, l = l, x, base - step
+            step *= 2
         s = lo
         R_s = R_lo if s > 1 else _suffix_sum(r, 1)
         # abs(inf - 1.0) is never below BOUNDARY_EPS: inf needs no test
@@ -370,13 +363,14 @@ def threshold(seq: OddsSequence) -> ThresholdResult:
     The comparison is exact IEEE >= on the correctly rounded R_l, no
     epsilon; ``boundary_flag`` is the advertised sensitivity warning.  s
     is guessed where a float running sum of the odds from the back first
-    reaches 1, and confirmed by ``math.fsum`` of the tail at s and s + 1;
-    a wrong guess is corrected by galloping from it and bisecting, so at
-    most 2*ceil(log2 n) + 4 tails are summed, none twice, R_1 only when
-    s = 1, and ``seq.R`` is not built.  R does not increase with l, so the
-    finite sums closest to 1 are R_s and R_{s+1}: only those two decide
-    the flag.  Computed once per sequence; threads that race on the first
-    call get equal results, not necessarily the identical object.
+    reaches 1, and found by one bracket search from the guess whose
+    probes are ``math.fsum`` of the tail: the tails at s and s + 1 for a
+    right guess, at most 2*ceil(log2 n) + 4 in all, none twice, R_1 only
+    when s = 1, and ``seq.R`` is not built.  R does not increase with l,
+    so the finite sums closest to 1 are R_s and R_{s+1}: only those two
+    decide the flag.  Computed once per sequence; threads that race on
+    the first call get equal results, not necessarily the identical
+    object.
     """
     return seq._threshold[0]
 

@@ -19,12 +19,13 @@ s = 4), far inside the 1e-12 equality tolerance.
 
 from __future__ import annotations
 
-import math
 import struct
 from typing import Literal, NamedTuple
 
 from .bounds import lower_bound, upper_bound
-from .core import OddsSequence, _integer, _window, odds_to_prob, threshold, validate_probabilities
+from .core import (
+    OddsSequence, _integer, _number, _window, odds_to_prob, threshold, validate_probabilities,
+)
 from .errors import InconsistentInput
 
 DEFAULT_ALPHA = 1.0 - 1e-3
@@ -85,7 +86,7 @@ def upper_extremal(n: int, s: int, R_s: float) -> ExtremalConfig:
     so 1 - p_s is exact and the stored odds are >= 1; at s = 1 any p_s works.
     """
     n, s = _window(n, s)
-    if math.isnan(R_s) or R_s <= 0.0:
+    if not _number("R_s", R_s) > 0.0:
         raise InconsistentInput(f"need R_s > 0, got {R_s!r}")
     if s > 1 and R_s < 1.0:
         raise InconsistentInput(
@@ -108,7 +109,7 @@ def lower_extremal_case1(n: int, R_1: float) -> ExtremalConfig:
     n = _integer("n", n)
     if n < 1:
         raise InconsistentInput(f"need n >= 1, got {n}")
-    if math.isnan(R_1) or not 0.0 < R_1 < 1.0:
+    if not 0.0 < _number("R_1", R_1) < 1.0:
         raise InconsistentInput(
             f"need 0 < R_1 < 1 (endpoints belong to other cases), got {R_1!r}"
         )
@@ -158,7 +159,7 @@ def lower_near_extremal_case3(
             f"need 1 <= s < n (the strict case is empty at s = n), "
             f"got s = {s}, n = {n}"
         )
-    if math.isnan(alpha) or not 0.0 < alpha < 1.0:
+    if not 0.0 < _number("alpha", alpha) < 1.0:
         raise InconsistentInput(f"need alpha in (0, 1), got {alpha!r}")
     m = n - s
     head = (1.0 + (2.0 - 2.0 * alpha) * m) / (1.0 + (3.0 - 2.0 * alpha) * m)

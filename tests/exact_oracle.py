@@ -1,11 +1,12 @@
 """Reference computations for freezing expected values, and the helpers
 only the tests use.
 
-exact_window_win, decimal_window_win, exact_suffix_sums, exact_threshold
-and exact_win run on the exact binary values of the input floats, in
-fractions.Fraction arithmetic or, where n is too large for Fractions, in
-60-digit decimal arithmetic; none of it shares code (or rounding
-behaviour) with the library's floating-point paths.
+exact_window_win, decimal_window_win, exact_suffix_sums, exact_threshold,
+exact_win and exact_bound_report run on the exact binary values of the
+input floats, in fractions.Fraction arithmetic or, where n is too large
+for Fractions, in 60-digit decimal arithmetic; none of it shares code (or
+rounding behaviour) with the library's floating-point paths.
+theorem_holds states the paper's claim on an exact_bound_report.
 full_enumeration_value is the float reference for the bits of
 oracle.exhaustive_value.
 
@@ -102,6 +103,59 @@ def exact_threshold(probs) -> int:
 def exact_win(probs) -> Fraction:
     """Exact success probability of the odds rule."""
     return exact_window_win(probs, exact_threshold(probs))
+
+
+class ExactBoundReport(NamedTuple):
+    """The paper's quantities for one sequence, every one a Fraction
+    except the index s and the case."""
+
+    s: int
+    R_s: Fraction
+    v_n: Fraction
+    case: int
+    lower: Fraction
+    upper: Fraction
+    corollary: Fraction
+    allaart_islas: Fraction
+
+
+def exact_bound_report(probs) -> ExactBoundReport:
+    """s, V_n and every bound of the paper in exact arithmetic, for
+    probabilities (floats or Fractions) below 1.
+
+    The bounds are rational for rational inputs: upper R/(1+R), case 1
+    R*(n/(n+R))^n, cases 2 and 3 and the corollary (m/(m+1))^m, and the
+    Allaart-Islas floor (n/(n+1))^n.  The case is decided on the exact
+    R_s against the exact 1 + 1/(n-s), so the report shares no rounding
+    with oddsrule.bound_report.
+    """
+    ps = [Fraction(x) for x in probs]
+    n, s = len(ps), exact_threshold(ps)
+    R_s = sum((p / (1 - p) for p in ps[s - 1 :]), Fraction(0))
+    if R_s < 1:
+        case, lower = 1, R_s * (n / (n + R_s)) ** n
+    elif s == n or R_s <= 1 + Fraction(1, n - s):
+        case, lower = 2, Fraction(n - s + 1, n - s + 2) ** (n - s + 1)
+    else:
+        case, lower = 3, Fraction(n - s, n - s + 1) ** (n - s)
+    return ExactBoundReport(
+        s,
+        R_s,
+        exact_window_win(ps, s),
+        case,
+        lower,
+        R_s / (1 + R_s),
+        Fraction(n - s + 1, n - s + 2) ** (n - s + 1),
+        Fraction(n, n + 1) ** n,
+    )
+
+
+def theorem_holds(report: ExactBoundReport) -> bool:
+    """The paper's claim on an exact report: lower <= V_n <= upper, with
+    V_n strictly above the lower bound in case 3."""
+    if report.case == 3:
+        return report.lower < report.v_n <= report.upper
+    return report.lower <= report.v_n <= report.upper
 
 
 def full_enumeration_value(seq, k: int) -> float:

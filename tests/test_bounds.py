@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from exact_oracle import (
     NegativeInput,
     equal_odds_sequence,
+    exact_bound_report,
     exact_win,
     log_product_gap,
     prior_bounds,
+    theorem_holds,
 )
 from oddsrule import (
     BoundReport,
@@ -248,6 +251,91 @@ class TestBoundReport:
             )
             assert report.lower - 1e-12 <= report.v_n <= report.upper + 1e-12
             assert 0.0 <= report.lower <= report.upper <= 1.0
+
+
+def rational_corpus(count, seed=8):
+    """Sequences of n <= 25 Fractions in [0, 1) with denominators <= 40;
+    the cap on each sequence's numerators mixes all three cases."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        cap = rng.choice([1, 2, 3, 5, 40])
+        seq = []
+        for _ in range(rng.randint(1, 25)):
+            b = rng.randint(1, 40)
+            a = rng.randrange(min(b, cap + 1)) if rng.random() < 0.8 else 0
+            seq.append(Fraction(a, b))
+        corpus.append(seq)
+    return corpus
+
+
+class TestExactTheorem:
+    """The paper's bounds in exact arithmetic, with zero tolerance."""
+
+    def test_sandwich_on_a_random_rational_corpus(self):
+        cases = set()
+        for probs in rational_corpus(2000):
+            r = exact_bound_report(probs)
+            cases.add(r.case)
+            assert theorem_holds(r), probs
+            if r.s >= 2:
+                assert r.corollary <= r.v_n, probs
+            if r.s >= 2 or r.R_s >= 1:  # R_1 >= 1
+                assert r.allaart_islas <= r.v_n, probs
+        assert cases == {1, 2, 3}
+
+    def test_library_agrees_where_the_decisions_are_separated(self):
+        # the doubles of the corpus, compared only where the boundary flag
+        # is off and the exact R_s is not within 1e-9 of the case separator
+        for probs in rational_corpus(500):
+            floats = [float(p) for p in probs]
+            exact = exact_bound_report(floats)
+            seq = validate_probabilities(floats)
+            t = threshold(seq)
+            if t.boundary_flag:
+                continue
+            assert t.s == exact.s, floats
+            n, s = len(floats), t.s
+            if s < n and abs(exact.R_s - 1 - Fraction(1, n - s)) < 1e-9:
+                continue
+            assert bound_report(seq).lower_case == exact.case, floats
+
+    def test_extremal_families_attain_their_bounds(self):
+        for n in range(1, 40):
+            for s in range(1, n + 1):
+                m = n - s + 1
+                r = exact_bound_report([0] * (s - 1) + [Fraction(1, m + 1)] * m)
+                assert (r.s, r.case, r.R_s) == (s, 2, 1)
+                assert r.v_n == r.lower
+            for s in {1, 2, n // 2, n} - {0, n + 1}:
+                for R in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7)):
+                    if R < 1 and s > 1:
+                        continue
+                    p = [Fraction(0)] * n
+                    p[s - 1] = R / (1 + R)
+                    r = exact_bound_report(p)
+                    assert (r.s, r.R_s) == (s, R)
+                    assert r.v_n == r.upper
+                    assert theorem_holds(r)
+            for R in (Fraction(1, 3), Fraction(9, 10)):
+                r = exact_bound_report([R / (n + R)] * n)
+                assert (r.s, r.case, r.R_s) == (1, 1, R)
+                assert r.v_n == r.lower
+
+    @pytest.mark.parametrize("n, s", [(4, 2), (10, 3), (30, 1)])
+    def test_case3_gap_shrinks_like_one_minus_alpha_squared(self, n, s):
+        # the near-extremal family: head odds 2 - 2*alpha + 1/m, then m
+        # tail odds alpha/m, with alpha = 1 - 2**-k
+        m, gaps = n - s, []
+        for k in range(1, 12):
+            alpha = 1 - Fraction(1, 2**k)
+            odds = [Fraction(0)] * (s - 1) + [2 - 2 * alpha + Fraction(1, m)] + [alpha / m] * m
+            r = exact_bound_report([x / (1 + x) for x in odds])
+            assert (r.s, r.case) == (s, 3)
+            gap = r.v_n - r.lower
+            assert (1 - alpha) ** 2 / 4 < gap < (1 - alpha) ** 2
+            gaps.append(gap)
+        assert gaps == sorted(gaps, reverse=True)
 
 
 class TestEqualOddsContradiction:

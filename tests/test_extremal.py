@@ -7,6 +7,7 @@ from hypothesis import example, given
 
 from oddsrule import (
     InconsistentInput,
+    InvalidArgument,
     lower_bound,
     lower_extremal_case1,
     lower_extremal_case2,
@@ -224,6 +225,24 @@ class TestLowerNearExtremalCase3:
             lower_near_extremal_case3(4, 1, 0.0)
         with pytest.raises(InconsistentInput):
             lower_near_extremal_case3(4, 1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "generate, args, name, nan_message",
+    [
+        (upper_extremal, (5, 2), "R_s", "need R_s > 0, got nan"),
+        (lower_extremal_case1, (5,), "R_1", "need 0 < R_1 < 1 (endpoints belong to other cases), got nan"),
+        (lower_near_extremal_case3, (7, 2), "alpha", "need alpha in (0, 1), got nan"),
+    ],
+)
+def test_a_non_number_raises_the_package_error(generate, args, name, nan_message):
+    # these raised a bare TypeError from math.isnan; a NaN keeps its message
+    for x in ("x", None, "0.9", 1j):
+        with pytest.raises(InvalidArgument, match=f"^{name} must be a number, got {x!r}$"):
+            generate(*args, x)
+    with pytest.raises(InconsistentInput) as info:
+        generate(*args, math.nan)
+    assert str(info.value) == nan_message
 
 
 class TestPerturbationBreaksEquality:

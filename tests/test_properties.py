@@ -9,11 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from exact_oracle import (
+    exact_bound_report,
     exact_suffix_sums,
     exact_threshold,
     exact_window_win,
     full_enumeration_value,
     log_product_gap,
+    theorem_holds,
 )
 from oddsrule import (
     NotANumber,
@@ -322,6 +324,35 @@ def test_threshold_fsum_probes_are_logarithmic(probs):
     assert_probes_logarithmic(probs)
 
 
+@pytest.mark.parametrize(
+    "probs, expected",
+    [
+        # a right guess with 2 <= s < n is confirmed at s and s + 1
+        ([0.1, 0.5, 0.5, 0.1], [3, 4]),
+        ([0.0, 0.3] + [0.2] * 5 + [0.0], [4, 5]),
+        # s = n needs the probe at n alone
+        ([0.1, 0.2, 0.6], [3]),
+        # guess 0 and R_2 < 1: s = 1, and R_1 is summed for R_s
+        ([0.1, 0.2], [2, 1]),
+        # guess 0, s = 5771 of n = 8000: the gallop from 1 passes at
+        # 4097, its next step 8193 is past n + 1, and the bracket
+        # (4097, 8001) is bisected
+        (
+            [5e-17] * 7991 + [0.09999999999999] * 9,
+            [1 + 2**k for k in range(13)]
+            + [6049, 5073, 5561, 5805, 5683, 5744, 5774, 5759, 5766, 5770, 5772, 5771],
+        ),
+    ],
+    ids=["right_guess", "right_guess_zero_tail", "s_n", "s_1_guess_0", "gallop_past_n"],
+)
+def test_threshold_probe_lists(probs, expected):
+    """The exact probes of the search, so that a change to the probe
+    (an exact comparator, say) cannot add sums in the common case."""
+    n, s, probes, _ = fsum_probes(probs)
+    assert probes == expected
+    assert s == scan_threshold(validate_probabilities(probs))[0]
+
+
 @settings(max_examples=50)
 @given(tiny_heads)
 def test_threshold_fsum_probes_are_logarithmic_on_tiny_heads(probs):
@@ -502,15 +533,11 @@ def test_bound_report_never_violates(probs):
         assert abs(report.upper - report.v_n) <= 1e-12
     if report.lower_case == 3:
         # V_n exceeds the case-3 bound strictly, but by less than an ulp
-        # it can round onto the bound's double: floats are checked with
-        # >=, and the paper's strict inequality on the exact values, under
-        # its hypothesis R_s > 1 + 1/m at the exact threshold
+        # it can round onto the bound's double: floats are checked with >=
         assert report.v_n >= report.lower
-        s = threshold(seq).s
-        m = len(probs) - s
-        R_s = sum(Fraction(p) / (1 - Fraction(p)) for p in probs[s - 1 :])
-        if exact_threshold(probs) == s and R_s > 1 + Fraction(1, m):
-            assert exact_window_win(probs, s) > Fraction(m, m + 1) ** m
+    # the paper's claim, the strict inequality of case 3 included, holds
+    # on the exact values of the input doubles
+    assert theorem_holds(exact_bound_report(probs))
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=25))
