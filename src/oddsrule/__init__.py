@@ -6,6 +6,8 @@ and a set of independent verification oracles (dynamic programming,
 Lindley's threshold, exhaustive enumeration, Monte Carlo).
 """
 
+import importlib
+
 from .bounds import (
     BoundReport,
     LowerBound,
@@ -43,17 +45,21 @@ from .extremal import (
     lower_near_extremal_case3,
     upper_extremal,
 )
-from .oracle import (
-    CrossCheck,
-    DPResult,
-    SimulationReport,
-    cross_check,
-    dp_optimal_value,
-    exhaustive_value,
-    lindley_threshold,
-    monte_carlo,
-    threshold_rule_value,
-    threshold_rule_values,
+
+# oracle.py loads on first use of one of these names (or of oddsrule.oracle):
+# it imports dataclasses, and with it inspect, ast and dis, which only the
+# commands that check or simulate need.
+_ORACLE_NAMES = (
+    "CrossCheck",
+    "DPResult",
+    "SimulationReport",
+    "cross_check",
+    "dp_optimal_value",
+    "exhaustive_value",
+    "lindley_threshold",
+    "monte_carlo",
+    "threshold_rule_value",
+    "threshold_rule_values",
 )
 
 __version__ = "0.1.0"
@@ -99,3 +105,19 @@ __all__ = [
     "validate_probabilities",
     "win_probability",
 ]
+
+
+def __getattr__(name: str):
+    """Import oracle.py the first time it or one of its names is read, and
+    bind its names here so that later reads are plain lookups."""
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not "from . import oracle": that first asks hasattr(oddsrule, "oracle"),
+    # which would call this function again
+    oracle = importlib.import_module(".oracle", __name__)
+    globals().update((n, getattr(oracle, n)) for n in _ORACLE_NAMES)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, "oracle"})

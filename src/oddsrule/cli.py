@@ -24,7 +24,7 @@ import math
 import os
 import sys
 
-from . import __version__, bounds, core, extremal, oracle
+from . import __version__, bounds, core, extremal
 from .errors import InconsistentInput, InternalBoundViolation, InvalidArgument, OddsRuleError
 
 EXIT_INPUT = 2
@@ -339,6 +339,8 @@ def oracle_check(args: argparse.Namespace) -> None:
     """
     # this docstring is the command's --help text; the verdict itself is
     # oracle.cross_check's, and this function only renders its record
+    from . import oracle  # on first use: only oracle-check and simulate load it
+
     seq = resolve_sequence(args)
     c = oracle.cross_check(seq, args.trials, args.seed)
     values, sim, checks = c.values, c.simulation, c.checks
@@ -496,6 +498,8 @@ def extremal_cmd(args: argparse.Namespace) -> None:
 
 def simulate(args: argparse.Namespace) -> None:
     """Monte Carlo estimate of a threshold rule's win probability."""
+    from . import oracle
+
     seq = resolve_sequence(args)
     rule_k = core.threshold(seq).s if args.k is None else args.k
     exact = oracle.threshold_rule_value(seq, rule_k)

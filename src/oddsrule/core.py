@@ -76,11 +76,12 @@ def _window(n, s) -> tuple[int, int]:
 
 
 def _number(name: str, x):
-    """x itself when math.isnan takes it (NaN and inf are numbers too),
-    else InvalidArgument."""
+    """x itself when it mixes with floats into a real float (NaN and inf
+    are numbers too), else InvalidArgument: a Decimal or a complex raises
+    TypeError, an int beyond float range OverflowError."""
     try:
-        math.isnan(x)
-    except TypeError:
+        math.isnan(x + 0.0)
+    except (TypeError, OverflowError):
         raise InvalidArgument(f"{name} must be a number, got {x!r}") from None
     return x
 

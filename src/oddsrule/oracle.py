@@ -11,9 +11,11 @@ evaluation in :mod:`oddsrule.core`:
 * a seeded Monte Carlo simulator that draws only the rule's window,
   into two buffers it reuses.
 
-Only the last two use numpy, and each imports it when called, so
-importing the package (or running a CLI command that needs neither)
-does not load numpy.
+The package imports this module on first use of one of its names, so
+``import oddsrule`` and the ``analyze``, ``secretary``, ``sweep`` and
+``extremal`` commands load neither it nor dataclasses (with inspect, ast
+and dis). Only the last two oracles use numpy, and each imports it when
+called.
 
 The three recurrences (backward induction and both threshold-rule
 sweeps) never form 1 - p: each step adds a p-weighted difference, as in

@@ -633,6 +633,26 @@ run("oracle-check", "0.5,0.5")
 print("numpy" in sys.modules)
 """
 
+ORACLE_PROBE = """
+import sys
+# a module that a site hook has already loaded cannot show what the CLI loads
+watched = [m for m in ("oddsrule.oracle", "dataclasses", "inspect") if m not in sys.modules]
+import oddsrule.cli
+from cli_runner import CliRunner
+
+def run(*args):
+    res = CliRunner().invoke(oddsrule.cli.main, args)
+    assert res.exit_code == 0, res.output
+
+run("analyze", "--format", "json", "0.5,0.5")
+run("secretary", "12")
+run("sweep", "--n", "6", "--s", "1:3", "--rs", "0.5,1,2", "-o", "-")
+run("extremal", "case2", "--n", "6", "--s", "3")
+print(sorted(m for m in watched if m in sys.modules))
+run("oracle-check", "0.5,0.5")
+print("oddsrule.oracle" in sys.modules)
+"""
+
 NO_CLICK_PROBE = """
 import sys
 sys.modules["click"] = None  # any import of click now raises ImportError
@@ -672,6 +692,15 @@ def test_numpy_loaded_only_by_the_numpy_oracles():
     res = _run_probe(NUMPY_PROBE)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["False", "True"]
+
+
+def test_oracle_module_loaded_only_by_the_commands_that_run_it():
+    """Importing the CLI and running analyze, secretary, sweep and extremal
+    load neither oracle.py nor dataclasses (nor inspect, which dataclasses
+    imports); oracle-check loads oracle.py."""
+    res = _run_probe(ORACLE_PROBE)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "True"]
 
 
 def test_cli_runs_without_click():

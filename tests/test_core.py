@@ -2,6 +2,8 @@ import math
 import pickle
 import sys
 import threading
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -488,3 +490,33 @@ def test_integer_like_n_and_s_are_accepted():
     assert lower_extremal_case2(n, s) == lower_extremal_case2(6, 3)
     assert secretary_sequence(n) == secretary_sequence(6)
     assert lindley_threshold(n) == lindley_threshold(6)
+
+
+# Each function that takes a float R_s, R_1 or alpha refuses a value that
+# does not mix with floats with the package's own error: a Decimal (a
+# TypeError from 1.0 + r) and an int or Fraction beyond float range (an
+# OverflowError from math.isnan).
+FLOAT_ARGUMENT_CALLS = {
+    "odds_to_prob": (odds_to_prob, (), "R_s"),
+    "lower_bound": (lower_bound, (5, 1), "R_s"),
+    "upper_extremal": (upper_extremal, (5, 2), "R_s"),
+    "lower_extremal_case1": (lower_extremal_case1, (5,), "R_1"),
+    "lower_near_extremal_case3": (lower_near_extremal_case3, (5, 2), "alpha"),
+}
+
+
+@pytest.mark.parametrize(
+    "x", [Decimal("0.5"), 10**400, Fraction(10**400, 3)], ids=["decimal", "huge_int", "huge_fraction"]
+)
+@pytest.mark.parametrize("func, args, name", FLOAT_ARGUMENT_CALLS.values(), ids=FLOAT_ARGUMENT_CALLS)
+def test_a_number_floats_cannot_take_is_invalid(func, args, name, x):
+    with pytest.raises(InvalidArgument) as info:
+        func(*args, x)
+    assert str(info.value) == f"{name} must be a number, got {x!r}"
+
+
+def test_ints_and_fractions_in_float_range_are_accepted():
+    assert odds_to_prob(3) == 0.75
+    assert odds_to_prob(Fraction(1, 3)) == 0.25
+    assert lower_bound(5, 1, Fraction(1, 2)) == lower_bound(5, 1, 0.5)
+    assert upper_extremal(5, 2, 3) == upper_extremal(5, 2, 3.0)
