@@ -11,8 +11,10 @@ and a lower bound that depends on where R_s falls:
     case 2 (1 <= R_s <= 1 + 1/(n-s)): (1 + 1/(n-s+1))^(-(n-s+1))
     case 3 (R_s > 1 + 1/(n-s)):       (1 + 1/(n-s))^(-(n-s)), strict
 
-Every bound is attained (cases 1-2 and the upper bound exactly, case 3 in
-the limit); see :mod:`oddsrule.extremal` for the attaining sequences.
+The case is decided exactly on the given double R_s, not on a rounded
+1 + 1/(n-s).  Every bound is attained (cases 1-2 and the upper bound
+exactly, case 3 in the limit); see :mod:`oddsrule.extremal` for the
+attaining sequences.
 :func:`bound_report` also reports two older sum-free bounds for
 comparison: V_n > 1/e and V_n >= (1 - 1/(n+1))^n (equality at constant
 p_j = 1/(n+1), the Allaart-Islas configuration), both valid once the
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import OddsSequence, _odds, _window, odds_to_prob, threshold, win_probability
+from .core import OddsSequence, _odds, _prob, _window, odds_to_prob
 from .errors import InconsistentInput, InternalBoundViolation
 
 # Slack for "bound satisfied" checks and tolerance for equality detection.
@@ -65,23 +67,32 @@ def lower_bound(n: int, s: int, R_s: float) -> LowerBound:
     """Case-dispatched lower bound on V_n.
 
     Case 1 applies for R_s < 1 (only consistent with s = 1); case 2 on
-    the closed interval [1, 1 + 1/(n-s)]; case 3 strictly above it.  At
-    s = n the separating value 1 + 1/(n-s) is +inf, so case 2 absorbs
-    every R_s >= 1.  A non-integer n or s, or a non-number R_s, raises
+    the closed interval [1, 1 + 1/(n-s)]; case 3 strictly above it.  The
+    double R_s is compared with the real 1 + 1/(n-s) exactly.  At s = n
+    the separating value 1 + 1/(n-s) is +inf, so case 2 absorbs every
+    R_s >= 1.  A non-integer n or s, or a non-number R_s, raises
     InvalidArgument; a NaN or negative R_s, InconsistentInput.
     """
     n, s = _window(n, s)
     _odds(R_s)
+    if R_s < 1.0 and s > 1:
+        raise InconsistentInput(
+            f"R_s = {R_s!r} < 1 contradicts threshold s = {s} > 1"
+        )
+    return _lower(n, s, R_s)
+
+
+def _lower(n: int, s: int, R_s: float) -> LowerBound:
+    # lower_bound unchecked: 1 <= s <= n, R_s >= 0, R_s >= 1 if s > 1.  Case 3,
+    # R_s > 1 + 1/m, is decided exactly: int and Fraction arithmetic is exact,
+    # and for a double R_s in [1, 2], R_s - 1 is k * 2**-52 with k <= 2**52, so
+    # its product with m is exact while k*m <= 2**53 and at least 2 beyond.
     if R_s < 1.0:
-        if s > 1:
-            raise InconsistentInput(
-                f"R_s = {R_s!r} < 1 contradicts threshold s = {s} > 1"
-            )
-        return LowerBound(case=1, value=_decay(R_s, n), strict=False)
-    separator = math.inf if s == n else 1.0 + 1.0 / (n - s)
-    if R_s <= separator:
-        return LowerBound(case=2, value=_decay(1.0, n - s + 1), strict=False)
-    return LowerBound(case=3, value=_decay(1.0, n - s), strict=True)
+        return LowerBound(1, _decay(R_s, n), False)
+    m = n - s
+    if m and (R_s > 2 or (R_s - 1) * m > 1):
+        return LowerBound(3, _decay(1.0, m), True)
+    return LowerBound(2, _decay(1.0, m + 1), False)
 
 
 def corollary_bound(n: int, s: int) -> float:
@@ -120,15 +131,17 @@ class BoundReport(NamedTuple):
 
 
 def bound_report(seq: OddsSequence) -> BoundReport:
-    """Evaluate every bound against the exact V_n and assert all hold."""
-    t = threshold(seq)
-    v = win_probability(seq, t).value
-    up = upper_bound(t.R_s)
-    low = lower_bound(seq.n, t.s, t.R_s)
-    cor = corollary_bound(seq.n, t.s)
-    corollary_applicable = t.s >= 2
-    e_bound_applicable = t.R_s >= 1.0  # the same boolean as R_1 >= 1
-    allaart_islas = math.exp(seq.n * math.log1p(-1.0 / (seq.n + 1)))
+    """Evaluate every bound against V_n and assert all hold; the formulas
+    run unchecked on the threshold's own s and R_s."""
+    s, R_s, _ = seq._threshold[0]
+    n = len(seq.p)
+    v = seq._win_probability.value
+    up = _prob(R_s)
+    low = _lower(n, s, R_s)
+    cor = _decay(1.0, n - s + 1)
+    corollary_applicable = s >= 2
+    e_bound_applicable = R_s >= 1.0  # the same boolean as R_1 >= 1
+    allaart_islas = math.exp(n * math.log1p(-1.0 / (n + 1)))
 
     # One row per bound, in report order: (bound id, value, applies).
     # Only the upper bound holds V_n from above, and V_n > 1/e is never

@@ -100,9 +100,12 @@ def odds_to_prob(r: float) -> float:
     a non-number.
     """
     _odds(r)
-    if math.isinf(r):
-        return 1.0
-    return r / (1.0 + r)
+    return _prob(r)
+
+
+def _prob(r: float) -> float:
+    # odds_to_prob without the check, for odds r >= 0 already checked or made
+    return 1.0 if r == math.inf else r / (1.0 + r)
 
 
 class OddsSequence:

@@ -22,9 +22,9 @@ from __future__ import annotations
 import struct
 from typing import Literal, NamedTuple
 
-from .bounds import lower_bound, upper_bound
+from .bounds import _lower
 from .core import (
-    OddsSequence, _integer, _number, _window, odds_to_prob, threshold, validate_probabilities,
+    OddsSequence, _integer, _number, _prob, _window, threshold, validate_probabilities,
 )
 from .errors import InconsistentInput
 
@@ -93,11 +93,11 @@ def upper_extremal(n: int, s: int, R_s: float) -> ExtremalConfig:
             f"R_s = {R_s!r} < 1 cannot produce a threshold at s = {s} > 1"
         )
     p = [0.0] * n
-    p[s - 1] = odds_to_prob(R_s)
+    p[s - 1] = _prob(R_s)
     seq = validate_probabilities(p)
     return ExtremalConfig(
         seq=seq,
-        target_bound=upper_bound(threshold(seq).R_s),
+        target_bound=_prob(threshold(seq).R_s),
         attainment="exact",
         parameters=GenerationParameters(n=n, s=s, R_s=R_s),
     )
@@ -116,7 +116,7 @@ def lower_extremal_case1(n: int, R_1: float) -> ExtremalConfig:
     p = [R_1 / (n + R_1)] * n
     seq = validate_probabilities(p)
     t = threshold(seq)
-    low = lower_bound(n, 1, t.R_s)
+    low = _lower(n, 1, t.R_s)
     return ExtremalConfig(
         seq=seq,
         target_bound=low.value,
@@ -134,7 +134,7 @@ def lower_extremal_case2(n: int, s: int) -> ExtremalConfig:
     p = [0.0] * (s - 1) + [1.0 / (m + 1)] * m
     seq = _build_at_threshold(p, s)
     t = threshold(seq)
-    low = lower_bound(n, s, t.R_s)
+    low = _lower(n, s, t.R_s)
     return ExtremalConfig(
         seq=seq,
         target_bound=low.value,
@@ -172,7 +172,7 @@ def lower_near_extremal_case3(
             f"alpha = {alpha!r} is too close to 1 to keep the threshold "
             f"at s = {s} in double precision"
         )
-    low = lower_bound(n, s, t.R_s)
+    low = _lower(n, s, t.R_s)
     return ExtremalConfig(
         seq=seq,
         target_bound=low.value,

@@ -81,6 +81,31 @@ class TestLowerBound:
         assert lower_bound(n, s, sep).case == 2
         assert lower_bound(n, s, math.nextafter(sep, 2.0)).case == 3
 
+    def test_rounded_separator_above_the_real_one_is_case3(self):
+        # 1.0 + 1.0/6 and 1.0 + 1.0/10 round above 7/6 and 11/10
+        for n, R_s in ((7, 1.1666666666666667), (11, 1.1)):
+            assert Fraction(R_s) > 1 + Fraction(1, n - 1)
+            case, value, strict = lower_bound(n, 1, R_s)
+            assert (case, strict) == (3, True)
+            assert value == lower_bound(n, 1, 2.0).value
+
+    def test_case_is_exact_around_every_separator(self):
+        # the doubles within 3 ulps of 1.0 + 1.0/m, against 1 + 1/m in
+        # exact arithmetic
+        for m in range(1, 10_001):
+            below = above = 1.0 + 1.0 / m
+            probes = [below]
+            for _ in range(3):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0)
+                probes += [below, above]
+            for R_s in probes:
+                expected = 2 if Fraction(R_s) <= 1 + Fraction(1, m) else 3
+                assert lower_bound(m + 1, 1, R_s).case == expected, (m, R_s)
+            # a Fraction is decided on its own value, not on a double near it
+            exact = 1 + Fraction(1, m)
+            assert lower_bound(m + 1, 1, exact).case == 2, m
+            assert lower_bound(m + 1, 1, exact + Fraction(1, 2**80)).case == 3, m
+
     def test_s_equals_n_never_case3(self):
         assert lower_bound(6, 6, 1.0).case == 2
         assert lower_bound(6, 6, 100.0).case == 2
@@ -107,6 +132,12 @@ class TestLowerBound:
 class TestCorollaryBound:
     def test_reference_value(self):
         assert corollary_bound(10, 4) == pytest.approx(float(Fraction(7, 8) ** 7), abs=1e-15)
+
+    def test_refuses_s_outside_the_window(self):
+        for s in (0, 6):
+            message = rf"^need 1 <= s <= n, got s = {s}, n = 5$"
+            with pytest.raises(InconsistentInput, match=message):
+                corollary_bound(5, s)
 
     def test_last_index(self):
         assert corollary_bound(9, 9) == 0.5
@@ -299,6 +330,20 @@ class TestExactTheorem:
             if s < n and abs(exact.R_s - 1 - Fraction(1, n - s)) < 1e-9:
                 continue
             assert bound_report(seq).lower_case == exact.case, floats
+
+    def test_report_bits_equal_the_public_bounds(self):
+        # each bound has one formula: bound_report, which runs it unchecked,
+        # and the checked entry points give the same bits
+        for probs in rational_corpus(500):
+            seq = validate_probabilities([float(p) for p in probs])
+            n, (s, R_s, _) = seq.n, threshold(seq)
+            r = bound_report(seq)
+            low = lower_bound(n, s, R_s)
+            assert r.upper.hex() == upper_bound(R_s).hex()
+            assert (r.lower_case, r.lower.hex(), r.lower_strict) == (
+                low.case, low.value.hex(), low.strict
+            )
+            assert r.corollary.hex() == corollary_bound(n, s).hex()
 
     def test_extremal_families_attain_their_bounds(self):
         for n in range(1, 40):

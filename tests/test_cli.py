@@ -342,6 +342,16 @@ class TestSweep:
         assert fields[7] != ""
         assert float(fields[7]) == pytest.approx((8 / 7) ** -7, abs=1e-12)
 
+    def test_rounded_separator_point_is_case3(self, runner):
+        # --rs 1.1 parses to the double above 1 + 1/(n-s) = 11/10
+        res = runner.invoke(main, ["sweep", "--n", "11", "--s", "1", "--rs", "1.1,3", "-o", "-"])
+        assert res.exit_code == 0
+        near, far = (line.split(",") for line in res.output.splitlines()[1:])
+        assert near[:4] == ["11", "1", "1.1000000000000001", "3"]
+        # the case-3 bound and the limiting family's value, as at R_s = 3
+        assert near[4] == far[4] == "0.3855432894295317"
+        assert near[7] == far[7] != ""
+
     def test_degenerate_point(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
         res = invoke(runner, "sweep", "--n", "6", "--s", "6", "--rs", "1.5", "-o", str(out))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import hypothesis.strategies as st
@@ -243,6 +244,34 @@ def test_a_non_number_raises_the_package_error(generate, args, name, nan_message
     with pytest.raises(InconsistentInput) as info:
         generate(*args, math.nan)
     assert str(info.value) == nan_message
+
+
+def _small_configs():
+    # (bound, config) for each generator over n < 60, at s in {1, n // 2, n}
+    for n in range(1, 60):
+        for s in sorted({1, max(1, n // 2), n}):
+            yield "lower", lower_extremal_case2(n, s)
+            for R_s in (1.0, 1.5, 7.0):
+                yield "upper", upper_extremal(n, s, R_s)
+            if s < n:
+                for alpha in (0.9, 0.999):
+                    yield "lower", lower_near_extremal_case3(n, s, alpha)
+        yield "upper", upper_extremal(n, 1, 0.5)
+        for R_1 in (0.25, 0.5, 0.9):
+            yield "lower", lower_extremal_case1(n, R_1)
+
+
+def test_target_bound_is_the_public_bound_with_pinned_bits():
+    # the generators call the unchecked bound formulas: each target has
+    # the bits of the checked entry point, and the digest pins those bits
+    digest = hashlib.sha256()
+    for bound, cfg in _small_configs():
+        n, s = cfg.parameters.n, cfg.parameters.s
+        R_s = threshold(cfg.seq).R_s
+        public = upper_bound(R_s) if bound == "upper" else lower_bound(n, s, R_s).value
+        assert cfg.target_bound.hex() == public.hex(), cfg.parameters
+        digest.update(cfg.target_bound.hex().encode())
+    assert digest.hexdigest() == "239c75b9ec548a345b6c6d83fa2430a9c8b805babf5c6f3cd849f4d37eff3d05"
 
 
 class TestPerturbationBreaksEquality:

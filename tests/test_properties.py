@@ -21,6 +21,7 @@ from oddsrule import (
     NotANumber,
     OutOfRange,
     bound_report,
+    corollary_bound,
     dp_optimal_value,
     exhaustive_value,
     lower_bound,
@@ -538,6 +539,20 @@ def test_bound_report_never_violates(probs):
     # the paper's claim, the strict inequality of case 3 included, holds
     # on the exact values of the input doubles
     assert theorem_holds(exact_bound_report(probs))
+
+
+@given(
+    st.one_of(prob_lists, wide_prob_lists, grid_prob_lists, loop_prob_lists, near_ties, tiny_heads)
+)
+@example([0.5238095238095238] + [0.0] * 10)  # R_1 = 1.0 + 1.0/10, above 11/10
+def test_bound_report_bits_equal_the_public_bounds(probs):
+    seq = validate_probabilities(probs)
+    n, (s, R_s, _) = seq.n, threshold(seq)
+    r = bound_report(seq)
+    low = lower_bound(n, s, R_s)
+    assert _hex(r.upper) == _hex(upper_bound(R_s))
+    assert (r.lower_case, _hex(r.lower), r.lower_strict) == (low.case, _hex(low.value), low.strict)
+    assert _hex(r.corollary) == _hex(corollary_bound(n, s))
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=25))
