@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import hypothesis.strategies as st
 import numpy as np
@@ -20,8 +21,6 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
-from oddsrule.extremal import _build_at_threshold
-
 
 # Window widths m <= 399 whose case-2 head needs a nudge of at least 64
 # ulps before the suffix odds sum reaches 1.
@@ -29,6 +28,13 @@ LARGE_NUDGE_WIDTHS = (
     143, 151, 170, 176, 180, 195, 213, 218, 236, 267, 287, 303,
     309, 318, 321, 335, 341, 355, 383, 391, 393, 396, 398,
 )
+
+
+def _case2_grid():
+    # (n, s) at s in {1, 2, n // 2, n}: every n < 200, then four large n
+    for n in list(range(1, 200)) + [10**3, 4097, 10**4, 10**5]:
+        for s in sorted({1, 2, n // 2, n} & set(range(1, n + 1))):
+            yield n, s
 
 
 def _win(seq):
@@ -176,10 +182,38 @@ class TestLowerExtremalCase2:
         assert lower_bound(m, 1, t.R_s).case == 2
         assert abs(_win(cfg.seq) - cfg.target_bound) <= 1e-12
 
-    def test_unplaceable_threshold_raises_package_error(self):
-        # R_2 = 18 >= 1 whatever p_1 is, so s = 1 is out of reach
-        with pytest.raises(InconsistentInput):
-            _build_at_threshold([0.5, 0.9, 0.9], 1)
+    def test_head_is_the_least_double_that_places_the_threshold(self):
+        # zeros, then the head, then m - 1 entries of 1/(m+1); the head is
+        # 1/(m+1) or the least double above it that puts R_s at 1.0 or
+        # more, so one double lower loses s or that R_s.  The digest pins
+        # the bits of p and of the target.
+        digest = hashlib.sha256()
+        for n, s in _case2_grid():
+            cfg = lower_extremal_case2(n, s)
+            m, p = n - s + 1, cfg.seq.p
+            floor, head = 1.0 / (m + 1), p[s - 1]
+            assert p == (0.0,) * (s - 1) + (head,) + (floor,) * (m - 1)
+            t = threshold(cfg.seq)
+            assert t.s == s and t.R_s >= 1.0
+            assert head >= floor
+            if head != floor:
+                lower = list(p)
+                lower[s - 1] = math.nextafter(head, 0.0)
+                t = threshold(validate_probabilities(lower))
+                assert t.s != s or t.R_s < 1.0, (n, s)
+            digest.update(struct.pack(f"<{n + 1}d", *p, cfg.target_bound))
+        assert digest.hexdigest() == "f63ca99c20b5dc71cc2b29a140286bf815a32d4827e54060fd1a782e3599cfba"
+
+    def test_validates_once(self, monkeypatch):
+        lengths = []
+
+        def spy(p):
+            lengths.append(len(p))
+            return validate_probabilities(p)
+
+        monkeypatch.setattr("oddsrule.extremal.validate_probabilities", spy)
+        lower_extremal_case2(4097, 2048)
+        assert lengths == [4097]
 
 
 class TestLowerNearExtremalCase3:
@@ -226,6 +260,23 @@ class TestLowerNearExtremalCase3:
             lower_near_extremal_case3(4, 1, 0.0)
         with pytest.raises(InconsistentInput):
             lower_near_extremal_case3(4, 1, 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            (1.0, "need alpha in (0, 1), got 1.0"),
+            (
+                math.nextafter(1.0, 0.0),
+                "alpha = 0.9999999999999999 is too close to 1 to keep the "
+                "threshold at s = 3 in double precision",
+            ),
+        ],
+    )
+    def test_refusal_messages(self, alpha, message):
+        # alpha = 1 is refused by the range check, not by the threshold's
+        with pytest.raises(InconsistentInput) as info:
+            lower_near_extremal_case3(10, 3, alpha)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
