@@ -71,7 +71,8 @@ def lower_bound(n: int, s: int, R_s: float) -> LowerBound:
     double R_s is compared with the real 1 + 1/(n-s) exactly.  At s = n
     the separating value 1 + 1/(n-s) is +inf, so case 2 absorbs every
     R_s >= 1.  A non-integer n or s, or a non-number R_s, raises
-    InvalidArgument; a NaN or negative R_s, InconsistentInput.
+    InvalidArgument; an n or s of magnitude sys.maxsize or more, TooLarge;
+    a NaN or negative R_s, InconsistentInput.
     """
     n, s = _window(n, s)
     _odds(R_s)

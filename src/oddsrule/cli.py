@@ -51,24 +51,6 @@ def fmt_prob(x: float) -> str:
     return repr(float(x))
 
 
-def _json_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        if math.isnan(v):
-            return '"nan"'
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return fmt17(v)
-    if isinstance(v, str):
-        return json.dumps(v)
-    raise TypeError(f"cannot render {type(v)!r}")
-
-
 def render_json(doc, indent: int = 0) -> str:
     """Deterministic JSON with .17g floats (json.dumps would use repr).
 
@@ -95,7 +77,9 @@ def render_json(doc, indent: int = 0) -> str:
         if "n" in body:  # "inf", "-inf" or "nan": quote them as JSON strings
             body = sep.join([t if t[-1].isdigit() else f'"{t}"' for t in body.split(sep)])
         return f"[\n{pad}  {body}\n{pad}]"
-    return _json_scalar(doc)
+    if isinstance(doc, float):
+        return fmt17(doc) if math.isfinite(doc) else f'"{doc}"'
+    return json.dumps(doc)  # bool, None, int and str; TypeError for the rest
 
 
 class UsageError(Exception):
@@ -121,14 +105,15 @@ def positive_int(text: str) -> int:
 
 
 def add_input_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("probs", nargs="?", metavar="PROBS")
-    sub.add_argument("--file", "-f", dest="file_path", metavar="PATH",
-                     help='Read probabilities from a file: JSON {"p": [...]} or one per line.')
-    sub.add_argument("--secretary", dest="secretary_n", type=positive_int, metavar="N",
-                     help="Use the builtin record sequence p_j = 1/j of length N.")
-    sub.add_argument("--extremal", dest="extremal_spec", metavar="SPEC",
-                     help="Use a builtin extremal generator, e.g. 'case2:n=6,s=3' or "
-                     "'upper:n=5,s=3,rs=1'.")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("probs", nargs="?", metavar="PROBS")
+    source.add_argument("--file", "-f", dest="file_path", metavar="PATH",
+                        help='Read probabilities from a file: JSON {"p": [...]} or one per line.')
+    source.add_argument("--secretary", dest="secretary_n", type=positive_int, metavar="N",
+                        help="Use the builtin record sequence p_j = 1/j of length N.")
+    source.add_argument("--extremal", dest="extremal_spec", metavar="SPEC",
+                        help="Use a builtin extremal generator, e.g. 'case2:n=6,s=3' or "
+                        "'upper:n=5,s=3,rs=1'.")
 
 
 def add_format_option(sub: argparse.ArgumentParser) -> None:
@@ -211,16 +196,7 @@ def _generate_extremal(family: str, params: dict) -> extremal.ExtremalConfig:
 
 
 def resolve_sequence(args: argparse.Namespace) -> core.OddsSequence:
-    """The validated sequence named by the one input given."""
-    given = [
-        x
-        for x in (args.probs, args.file_path, args.secretary_n, args.extremal_spec)
-        if x is not None
-    ]
-    if len(given) != 1:
-        raise UsageError(
-            "provide exactly one input: inline PROBS, --file, --secretary or --extremal"
-        )
+    """The validated sequence named by the one input argparse let through."""
     if args.secretary_n is not None:
         return core.secretary_sequence(args.secretary_n)
     if args.extremal_spec is not None:
@@ -402,7 +378,6 @@ def sweep(args: argparse.Namespace) -> None:
         _fail("empty sweep grid")
 
     lines = ["n,s,R_s,case,lower,upper,corollary,v_n"]
-    rows = 0
     for n in ns:
         for s in ss:
             for rs in grid:
@@ -429,7 +404,7 @@ def sweep(args: argparse.Namespace) -> None:
                         ]
                     )
                 )
-                rows += 1
+    rows = len(lines) - 1
     if rows == 0:
         _fail("sweep grid produced no consistent rows")
     text = "\n".join(lines) + "\n"
@@ -474,20 +449,13 @@ def extremal_cmd(args: argparse.Namespace) -> None:
     seq = cfg.seq
     v = core.win_probability(seq, core.threshold(seq)).value
     if args.output_format == "json":
-        params = {
-            "n": cfg.parameters.n,
-            "s": cfg.parameters.s,
-            "R_s": cfg.parameters.R_s,
-        }
-        if cfg.parameters.alpha is not None:
-            params["alpha"] = cfg.parameters.alpha
         print(render_json({
             "family": args.family,
             "p": list(seq.p),
             "target_bound": cfg.target_bound,
             "v_n": v,
             "attainment": cfg.attainment,
-            "parameters": params,
+            "parameters": {key: x for key, x in cfg.parameters._asdict().items() if x is not None},
         }))
     else:
         print(",".join(fmt_prob(x) for x in seq.p))
@@ -508,11 +476,7 @@ def simulate(args: argparse.Namespace) -> None:
         print(render_json({
             "n": seq.n,
             "k": rule_k,
-            "trials": sim.trials,
-            "wins": sim.wins,
-            "estimate": sim.estimate,
-            "std_error": sim.std_error,
-            "seed": sim.seed,
+            **sim._asdict(),
             "exact": exact,
         }))
     else:

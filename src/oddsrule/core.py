@@ -25,10 +25,13 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import sys
 from itertools import accumulate, islice, repeat
 from typing import NamedTuple, Sequence
 
-from .errors import EmptySequence, InconsistentInput, InvalidArgument, NotANumber, OutOfRange
+from .errors import (
+    EmptySequence, InconsistentInput, InvalidArgument, NotANumber, OutOfRange, TooLarge,
+)
 
 # |R_l - 1| below this marks the threshold decision as numerically touchy.
 BOUNDARY_EPS = 1e-9
@@ -67,9 +70,21 @@ def _integer(name: str, x) -> int:
         raise InvalidArgument(f"{name} must be an integer, got {x!r}") from None
 
 
+def _size(name: str, x) -> int:
+    """_integer, and TooLarge when |x| >= sys.maxsize, a length no list
+    reaches.  The message gives the bit length, not x: an int of more
+    than 4300 digits cannot be formatted."""
+    x = _integer(name, x)
+    if abs(x) >= sys.maxsize:
+        raise TooLarge(f"{name} is an integer of {x.bit_length()} bits; "
+                       f"need |{name}| < sys.maxsize")
+    return x
+
+
 def _window(n, s) -> tuple[int, int]:
-    """n and s as ints with 1 <= s <= n, else InconsistentInput."""
-    n, s = _integer("n", n), _integer("s", s)
+    """n and s as ints with 1 <= s <= n, else InconsistentInput; TooLarge
+    from _size first."""
+    n, s = _size("n", n), _size("s", s)
     if not 1 <= s <= n:
         raise InconsistentInput(f"need 1 <= s <= n, got s = {s}, n = {n}")
     return n, s
@@ -407,7 +422,7 @@ def secretary_sequence(n: int) -> OddsSequence:
     probability exactly 1/j, independently across j; stopping on the last
     running best recovers the classical best-choice problem.
     """
-    n = _integer("n", n)
+    n = _size("n", n)
     if n < 1:
         raise EmptySequence("secretary sequence needs n >= 1")
     return validate_probabilities([1.0 / j for j in range(1, n + 1)])

@@ -54,7 +54,8 @@ class InvalidArgument(OddsRuleError, ValueError):
 
 
 class TooLarge(OddsRuleError):
-    """The request exceeds a hard size cap (exhaustive enumeration)."""
+    """The request exceeds a hard size cap: the exhaustive oracle's n, or
+    an n or s of magnitude sys.maxsize or more, a length no list reaches."""
 
 
 class InternalBoundViolation(OddsRuleError):

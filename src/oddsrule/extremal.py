@@ -28,7 +28,7 @@ from typing import Literal, NamedTuple
 
 from .bounds import _lower
 from .core import (
-    OddsSequence, _integer, _number, _prob, _suffix_sum, _window, threshold,
+    OddsSequence, _number, _prob, _size, _suffix_sum, _window, threshold,
     validate_probabilities,
 )
 from .errors import InconsistentInput
@@ -100,7 +100,7 @@ def upper_extremal(n: int, s: int, R_s: float) -> ExtremalConfig:
 def lower_extremal_case1(n: int, R_1: float) -> ExtremalConfig:
     """Constant sequence attaining the sub-unit lower bound:
     p_j = R_1/(n + R_1), so every odds equals R_1/n."""
-    n = _integer("n", n)
+    n = _size("n", n)
     if n < 1:
         raise InconsistentInput(f"need n >= 1, got {n}")
     if not 0.0 < _number("R_1", R_1) < 1.0:
@@ -148,7 +148,7 @@ def lower_near_extremal_case3(
     window sum exceeds 1 + 1/(n-s).  The attained value stays strictly
     above the bound and the gap shrinks like (1-alpha)^2.
     """
-    n, s = _integer("n", n), _integer("s", s)
+    n, s = _size("n", n), _size("s", s)
     if not 1 <= s < n:
         raise InconsistentInput(
             f"need 1 <= s < n (the strict case is empty at s = n), "

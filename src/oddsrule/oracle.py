@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import OddsSequence, _integer, threshold, win_probability
+from .core import OddsSequence, _integer, _size, threshold, win_probability
 from .errors import EmptySequence, IndexOutOfRange, InvalidArgument, TooLarge
 
 ORACLE_TOL = 1e-12  # agreement of each exact oracle with V_n
@@ -145,7 +145,7 @@ def lindley_threshold(n: int) -> int:
     left-shifted harmonic sums rather than the odds machinery, so it can
     cross-check ``threshold(secretary_sequence(n))``.
     """
-    n = _integer("n", n)
+    n = _size("n", n)
     if n < 1:
         raise EmptySequence("need n >= 1")
     # a[k] = a_k for 1 <= k <= n; a_n = 0 by the empty-sum convention.

@@ -127,6 +127,19 @@ class TestAnalyze:
         res = invoke(runner, "analyze")
         assert res.exit_code == 2
 
+    # argparse's own wording, pinned on every Python the package supports
+    def test_no_source_names_the_four_inputs(self, runner):
+        res = invoke(runner, "analyze")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "one of the arguments PROBS --file/-f --secretary --extremal is required" in res.stderr
+
+    def test_two_sources_name_the_conflict(self, runner):
+        res = invoke(runner, "analyze", "0.5", "--secretary", "4")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "not allowed with argument PROBS" in res.stderr
+
     def test_file_lines(self, runner, tmp_path):
         path = tmp_path / "probs.txt"
         path.write_text("0\n0\n0.5\n0\n0\n")
@@ -585,6 +598,39 @@ def test_a_request_too_large_for_memory_exits_2(runner, args):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == "error: not enough memory for this request\n"
+
+
+# n = 2**63 or 10**400: no list has that many entries, so the library
+# refuses the size itself (TooLarge) before any allocation or arithmetic
+@pytest.mark.parametrize(
+    "args, bits",
+    [
+        (["extremal", "case2", "--n", str(2**63), "--s", "1"], 64),
+        (["extremal", "case1", "--n", str(2**63), "--rs", "0.5"], 64),
+        (["extremal", "upper", "--n", str(2**63), "--s", "1", "--rs", "1"], 64),
+        (["analyze", "--extremal", f"case2:n={2**63},s=1"], 64),
+        (["analyze", "--secretary", str(2**63)], 64),
+        (["sweep", "--n", str(2**63), "--s", "1", "--rs", "1", "-o", "-"], 64),
+        (["sweep", "--n", str(10**400), "--s", "1", "--rs", "0.5,1.5,3", "-o", "-"], 1329),
+    ],
+    ids=["case2", "case1", "upper", "analyze_extremal", "analyze_secretary", "sweep", "sweep_10e400"],
+)
+def test_a_size_no_list_reaches_exits_2(runner, args, bits):
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: n is an integer of {bits} bits; need |n| < sys.maxsize\n"
+
+
+@pytest.mark.parametrize(
+    "command", ["analyze", "secretary", "oracle-check", "simulate", "extremal", "sweep"]
+)
+def test_help_exits_0(runner, command):
+    res = invoke(runner, command, "--help")
+    assert res.exit_code == 0
+    assert res.stderr == ""
+    assert res.stdout.startswith(f"usage: oddsrule {command} [--help]")
+    assert ("PROBS" in res.stdout) == (command in ("analyze", "oracle-check", "simulate"))
 
 
 @pytest.mark.parametrize(

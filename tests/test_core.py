@@ -16,6 +16,7 @@ from oddsrule import (
     OddsSequence,
     OutOfRange,
     ThresholdResult,
+    TooLarge,
     bound_report,
     corollary_bound,
     lindley_threshold,
@@ -490,6 +491,40 @@ def test_integer_like_n_and_s_are_accepted():
     assert lower_extremal_case2(n, s) == lower_extremal_case2(6, 3)
     assert secretary_sequence(n) == secretary_sequence(6)
     assert lindley_threshold(n) == lindley_threshold(6)
+
+
+# An n or s of magnitude sys.maxsize or more is no list's length: each
+# function refuses it with TooLarge before it allocates or computes, and
+# the message gives the bit length, since str() refuses an int of more
+# than 4300 digits.
+OVERSIZED_CALLS = {
+    "lower_bound_case3": (lower_bound, (10**400, 1, 1.5), "n", 1329),
+    "lower_bound_case1": (lower_bound, (10**400, 1, 0.5), "n", 1329),
+    "lower_bound_2_63": (lower_bound, (2**63, 2, 3.0), "n", 64),
+    "lower_bound_s": (lower_bound, (5, 10**5000, 1.0), "s", 16610),
+    "lower_bound_negative_s": (lower_bound, (5, -(10**5000), 1.0), "s", 16610),
+    "corollary_bound": (corollary_bound, (10**400, 2), "n", 1329),
+    "upper_extremal": (upper_extremal, (2**63, 1, 1.0), "n", 64),
+    "lower_extremal_case1": (lower_extremal_case1, (2**63, 0.5), "n", 64),
+    "lower_extremal_case1_negative": (lower_extremal_case1, (-(10**5000), 0.5), "n", 16610),
+    "lower_extremal_case2": (lower_extremal_case2, (2**63, 1), "n", 64),
+    "lower_near_extremal_case3": (lower_near_extremal_case3, (2**63, 1), "n", 64),
+    "lower_near_extremal_case3_s": (lower_near_extremal_case3, (5, 10**5000), "s", 16610),
+    "secretary_sequence": (secretary_sequence, (2**63,), "n", 64),
+    "lindley_threshold": (lindley_threshold, (2**63,), "n", 64),
+}
+
+
+@pytest.mark.parametrize("func, args, name, bits", OVERSIZED_CALLS.values(), ids=OVERSIZED_CALLS)
+def test_a_size_no_list_reaches_is_too_large(func, args, name, bits):
+    with pytest.raises(TooLarge) as info:
+        func(*args)
+    assert str(info.value) == f"{name} is an integer of {bits} bits; need |{name}| < sys.maxsize"
+
+
+def test_sizes_below_the_cap_are_accepted():
+    assert lower_bound(sys.maxsize - 1, 2, 3.0).case == 3
+    assert corollary_bound(sys.maxsize - 1, 2) == lower_bound(sys.maxsize - 1, 2, 1.0).value
 
 
 # Each function that takes a float R_s, R_1 or alpha refuses a value that

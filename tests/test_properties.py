@@ -343,8 +343,32 @@ def test_threshold_fsum_probes_are_logarithmic(probs):
             [1 + 2**k for k in range(13)]
             + [6049, 5073, 5561, 5805, 5683, 5744, 5774, 5759, 5766, 5770, 5772, 5771],
         ),
+        # guess 1: the search starts as if l = 1 had passed, so it
+        # probes 2 and sums R_1 once, after the bracket closes
+        ([0.5, 0.1, 0.1, 0.1], [2, 1]),
+        # the float guess overshoots to 5 while s = 1: the fails walk down
+        # 5, 4, 3, the next step (1) is the bracket's closed end, so 2 is
+        # its midpoint, and R_1 is summed for R_s
+        (
+            [0.0] * 4
+            + [0.10000000000000005, 0.09999999999999999, 0.10000000000000005,
+               0.09999999999999999, 0.10000000000000003, 0.09999999999999995,
+               0.09999999999999994, 0.09999999999999995, 0.09999999999999991],
+            [5, 4, 3, 2, 1],
+        ),
+        # guess 0 with n = 8192: the gallop from 1 passes at 4097 and its
+        # next step lands exactly on n + 1, the bracket's open end, so the
+        # bracket (4097, 8193) is bisected
+        (
+            [4e-17] * 8183 + [0.09999999999999] * 9,
+            [1 + 2**k for k in range(13)]
+            + [6145, 5121, 5633, 5377, 5505, 5441, 5409, 5393, 5401, 5405, 5407, 5408],
+        ),
     ],
-    ids=["right_guess", "right_guess_zero_tail", "s_n", "s_1_guess_0", "gallop_past_n"],
+    ids=[
+        "right_guess", "right_guess_zero_tail", "s_n", "s_1_guess_0", "gallop_past_n",
+        "guess_1", "guess_overshoots_s_1", "gallop_onto_n_plus_1",
+    ],
 )
 def test_threshold_probe_lists(probs, expected):
     """The exact probes of the search, so that a change to the probe
