@@ -45,7 +45,8 @@ class LowerBound(NamedTuple):
 
 def _decay(R: float, m: int) -> float:
     """R * (1 + R/m)^(-m): case 1 at (R_1, n); at R = 1.0 the value of
-    cases 2 and 3 and the corollary, decreasing in m toward 1/e from above.
+    cases 2 and 3, the corollary and (at m = n) the Allaart-Islas floor,
+    decreasing in m toward 1/e from above.
 
     Evaluated as R * exp(-m*log1p(R/m)) to dodge cancellation at large m.
     The callers pass m >= 1: integer n and s with 1 <= s <= n, and m = n - s
@@ -142,7 +143,7 @@ def bound_report(seq: OddsSequence) -> BoundReport:
     cor = _decay(1.0, n - s + 1)
     corollary_applicable = s >= 2
     e_bound_applicable = R_s >= 1.0  # the same boolean as R_1 >= 1
-    allaart_islas = math.exp(n * math.log1p(-1.0 / (n + 1)))
+    allaart_islas = _decay(1.0, n)  # (1 - 1/(n+1))^n = (1 + 1/n)^(-n)
 
     # One row per bound, in report order: (bound id, value, applies).
     # Only the upper bound holds V_n from above, and V_n > 1/e is never

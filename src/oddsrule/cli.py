@@ -285,25 +285,16 @@ def _print_analysis_text(doc: dict) -> None:
     print(f"allaart-islas {fmt_human(ai['value'])}{applicable}{eq}")
 
 
-def _run_analysis(seq: core.OddsSequence, output_format: str) -> None:
-    doc = _analysis_document(seq)
-    if output_format == "json":
-        print(render_json(doc))
-    else:
-        _print_analysis_text(doc)
-
-
 # ---------------------------------------------------------------- commands
 
 
 def analyze(args: argparse.Namespace) -> None:
     """Threshold, win probability and full bound report for a sequence."""
-    _run_analysis(resolve_sequence(args), args.output_format)
-
-
-def secretary(args: argparse.Namespace) -> None:
-    """Analyze the builtin record sequence p_j = 1/j (best-choice problem)."""
-    _run_analysis(core.secretary_sequence(args.n), args.output_format)
+    doc = _analysis_document(resolve_sequence(args))
+    if args.output_format == "json":
+        print(render_json(doc))
+    else:
+        _print_analysis_text(doc)
 
 
 def oracle_check(args: argparse.Namespace) -> None:
@@ -503,8 +494,8 @@ def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
                         version=f"oddsrule, version {__version__}")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
-    def command(name: str, run, *add_options) -> argparse.ArgumentParser:
-        doc = run.__doc__ or ""
+    def command(name: str, run, *add_options, doc: str | None = None) -> argparse.ArgumentParser:
+        doc = doc or run.__doc__ or ""
         sub = commands.add_parser(name, help=doc.partition("\n")[0], description=doc,
                                   add_help=False, allow_abbrev=False)
         sub.add_argument("--help", action="help", help="Show this message and exit.")
@@ -514,8 +505,11 @@ def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
         return sub
 
     command("analyze", analyze, add_input_options, add_format_option)
-    sub = command("secretary", secretary, add_format_option)
-    sub.add_argument("n", type=positive_int, metavar="N")
+    # `secretary N` is `analyze --secretary N` under its own help text
+    sub = command("secretary", analyze, add_format_option,
+                  doc="Analyze the builtin record sequence p_j = 1/j (best-choice problem).")
+    sub.add_argument("secretary_n", type=positive_int, metavar="N")
+    sub.set_defaults(probs=None, file_path=None, extremal_spec=None)
     command("oracle-check", oracle_check, add_input_options, add_monte_carlo_options,
             add_format_option)
     sub = command("simulate", simulate, add_input_options, add_monte_carlo_options,

@@ -425,4 +425,6 @@ def secretary_sequence(n: int) -> OddsSequence:
     n = _size("n", n)
     if n < 1:
         raise EmptySequence("secretary sequence needs n >= 1")
-    return validate_probabilities([1.0 / j for j in range(1, n + 1)])
+    p = [1.0] * n  # sized in one step: a length memory cannot hold fails here
+    p[1:] = [1.0 / j for j in range(2, n + 1)]
+    return validate_probabilities(p)

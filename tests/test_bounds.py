@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
-from oddsrule.bounds import EQUALITY_TOL
+from oddsrule.bounds import EQUALITY_TOL, _decay
 
 
 class TestUpperBound:
@@ -253,6 +254,21 @@ class TestBoundReport:
         assert report.lower == pytest.approx(0.4096, abs=1e-15)
         assert report.equality["lower"]
         assert report.equality["allaart_islas"]
+
+    def test_allaart_islas_floor_is_decay_at_one(self):
+        # (1 - 1/(n+1))^n = (1 + 1/n)^(-n): the floor takes the bits of the
+        # one formula every other lower bound uses
+        for n in range(1, 2001):
+            report = bound_report(validate_probabilities([0.5] * n))
+            assert report.allaart_islas.hex() == _decay(1.0, n).hex(), n
+
+    def test_decay_at_one_within_2_ulps_of_the_exact_floor(self):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for n in range(1, 2001):
+                exact = (Decimal(n) / Decimal(n + 1)) ** n
+                error = abs(Decimal(_decay(1.0, n)) - exact)
+                assert error <= 2 * Decimal(math.ulp(float(exact))), n
 
     def test_all_zero(self):
         report = bound_report(validate_probabilities([0, 0, 0]))

@@ -272,6 +272,14 @@ class TestSecretaryCommand:
         )
         assert direct.output == via_analyze.output
 
+    @pytest.mark.parametrize("n", ["1", "8", "12", "300"])
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_prints_the_bytes_of_analyze(self, runner, n, output_format):
+        direct = invoke(runner, "secretary", n, "--format", output_format)
+        via_analyze = invoke(runner, "analyze", "--secretary", n, "--format", output_format)
+        assert direct.exit_code == via_analyze.exit_code == 0
+        assert (direct.stdout, direct.stderr) == (via_analyze.stdout, via_analyze.stderr)
+
     def test_rejects_zero(self, runner):
         assert invoke(runner, "secretary", "0").exit_code == 2
 
@@ -456,6 +464,15 @@ class TestSweep:
         assert res.exit_code == 0
         assert res.output.startswith("n,s,R_s,case,lower,upper,corollary,v_n")
 
+    def test_no_consistent_row_exits_2(self, runner):
+        res = invoke(runner, "sweep", "--n", "5", "--s", "9", "--rs", "1", "-o", "-")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            "notice: skipping inconsistent point n=5 s=9 R_s=1.0: need 1 <= s <= n, got s = 9, n = 5\n"
+            "error: sweep grid produced no consistent rows\n"
+        )
+
 
 class TestExtremalCommand:
     def test_upper_reference(self, runner):
@@ -582,6 +599,25 @@ def test_leftover_arguments_are_reported_by_the_command(runner, args, extra):
     assert res.stderr.endswith(f"oddsrule {args[0]}: error: unrecognized arguments: {extra}\n")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("sweep", "--n", "4", "--s", "1:2:3:4", "--rs", "1", "-o", "-"),
+         "bad --s range '1:2:3:4': use START:STOP or START:STOP:STEP"),
+        (("analyze", "--extremal", "bogus:n=3"),
+         "bad extremal spec 'bogus:n=3': unknown extremal family 'bogus'"),
+        (("analyze", "0.5,abc"), "cannot parse PROBS: could not convert string to float: 'abc'"),
+    ],
+    ids=["sweep_range", "extremal_family", "probs_token"],
+)
+def test_unparsable_values_are_usage_errors(runner, args, message):
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"usage: oddsrule {args[0]} [--help]")
+    assert res.stderr.endswith(f"oddsrule {args[0]}: error: {message}\n")
+
+
 # n = 2**62: a list of that length fails its size check before any memory
 # is taken, so these exercise the out-of-memory path cheaply
 @pytest.mark.parametrize(
@@ -620,6 +656,38 @@ def test_a_size_no_list_reaches_exits_2(runner, args, bits):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == f"error: n is an integer of {bits} bits; need |n| < sys.maxsize\n"
+
+
+# the wrapper caps its child's address space, then reports the child's exit
+# code and peak RSS (its only child, so RUSAGE_CHILDREN is that child's)
+CAPPED_PROBE = """
+import resource, subprocess, sys
+cap = 1 << 30
+def limit():
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+r = subprocess.run([sys.executable, "-m", "oddsrule.cli", *sys.argv[1:]],
+                   capture_output=True, text=True, preexec_fn=limit)
+print(r.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)
+print(repr(r.stdout), repr(r.stderr))
+"""
+
+
+@pytest.mark.parametrize(
+    "args", [["secretary", str(2**62)], ["analyze", "--secretary", str(2**62)]],
+    ids=["secretary", "analyze"],
+)
+def test_a_secretary_size_memory_cannot_hold_fails_at_once(args):
+    """n = 2**62 is below the TooLarge cap; the record list is sized in one
+    step, so it is refused before it grows (under a 1 GiB address-space cap,
+    so that a list that does grow stops there)."""
+    res = subprocess.run([sys.executable, "-c", CAPPED_PROBE, *args], env=_probe_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    status, stdio = res.stdout.splitlines()
+    code, max_rss_mib = map(int, status.split())
+    assert code == 2
+    assert stdio == repr("") + " " + repr("error: not enough memory for this request\n")
+    assert max_rss_mib < 256
 
 
 @pytest.mark.parametrize(
@@ -817,6 +885,9 @@ N25 = ",".join(["0.2"] * 25)
         ("analyze_near_tie_grid.json", ["analyze", "--format", "json", NEAR_TIE_12]),
         ("oracle_check_secretary_20.txt", ["oracle-check", "--secretary", "20"]),
         ("oracle_check_n25.txt", ["oracle-check", N25]),
+        ("simulate_inline_1000.txt", ["simulate", "0,0,0.5,0,0", "--trials", "1000", "--seed", "7"]),
+        # case 1 at R_1 = 0: the generator refuses it, so v_n is left empty
+        ("sweep_case1_rs_0.csv", ["sweep", "--n", "4", "--s", "1", "--rs", "0", "-o", "-"]),
     ],
 )
 def test_stdout_matches_golden_file(runner, name, args):

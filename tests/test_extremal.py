@@ -139,6 +139,10 @@ class TestLowerExtremalCase1:
         with pytest.raises(InconsistentInput):
             lower_extremal_case1(3, -0.2)
 
+    def test_rejects_empty_horizon(self):
+        with pytest.raises(InconsistentInput, match=r"^need n >= 1, got 0$"):
+            lower_extremal_case1(0, 0.5)
+
 
 class TestLowerExtremalCase2:
     def test_reference(self):
