@@ -106,7 +106,9 @@ def positive_int(text: str) -> int:
 
 def add_input_options(sub: argparse.ArgumentParser) -> None:
     source = sub.add_mutually_exclusive_group(required=True)
-    source.add_argument("probs", nargs="?", metavar="PROBS")
+    source.add_argument("probs", nargs="?", metavar="PROBS",
+                        help="Comma-separated probabilities p_1..p_n. Give exactly one input: "
+                        "PROBS, --file, --secretary or --extremal.")
     source.add_argument("--file", "-f", dest="file_path", metavar="PATH",
                         help='Read probabilities from a file: JSON {"p": [...]} or one per line.')
     source.add_argument("--secretary", dest="secretary_n", type=positive_int, metavar="N",
@@ -215,9 +217,9 @@ def _analysis_document(seq: core.OddsSequence) -> dict:
     # a bound that fails raises in bound_report, so both are "satisfied"
     return {
         "n": seq.n,
-        "p": list(seq.p),
-        "odds": list(seq.r),
-        "suffix_sums": list(seq.R),
+        "p": seq.p,
+        "odds": seq.r,
+        "suffix_sums": seq.R,
         "s": t.s,
         "R_s": t.R_s,
         "boundary_flag": t.boundary_flag,
@@ -442,7 +444,7 @@ def extremal_cmd(args: argparse.Namespace) -> None:
     if args.output_format == "json":
         print(render_json({
             "family": args.family,
-            "p": list(seq.p),
+            "p": seq.p,
             "target_bound": cfg.target_bound,
             "v_n": v,
             "attainment": cfg.attainment,

@@ -74,6 +74,16 @@ def _case2_head(m: int) -> float:
     return p
 
 
+def _lower_config(
+    seq: OddsSequence,
+    params: GenerationParameters,
+    attainment: Literal["exact", "limiting"],
+) -> ExtremalConfig:
+    # the target is the lower bound at the sequence's own R_s
+    low = _lower(params.n, params.s, threshold(seq).R_s)
+    return ExtremalConfig(seq, low.value, attainment, params)
+
+
 def upper_extremal(n: int, s: int, R_s: float) -> ExtremalConfig:
     """Single-entry window attaining the upper bound: p_s = R_s/(1+R_s),
     every other probability 0.  It needs no nudge: for R_s >= 1, p_s >= 1/2,
@@ -107,16 +117,8 @@ def lower_extremal_case1(n: int, R_1: float) -> ExtremalConfig:
         raise InconsistentInput(
             f"need 0 < R_1 < 1 (endpoints belong to other cases), got {R_1!r}"
         )
-    p = [R_1 / (n + R_1)] * n
-    seq = validate_probabilities(p)
-    t = threshold(seq)
-    low = _lower(n, 1, t.R_s)
-    return ExtremalConfig(
-        seq=seq,
-        target_bound=low.value,
-        attainment="exact",
-        parameters=GenerationParameters(n=n, s=1, R_s=R_1),
-    )
+    seq = validate_probabilities([R_1 / (n + R_1)] * n)
+    return _lower_config(seq, GenerationParameters(n=n, s=1, R_s=R_1), "exact")
 
 
 def lower_extremal_case2(n: int, s: int) -> ExtremalConfig:
@@ -128,14 +130,7 @@ def lower_extremal_case2(n: int, s: int) -> ExtremalConfig:
     m = n - s + 1
     p = [0.0] * (s - 1) + [_case2_head(m)] + [1.0 / (m + 1)] * (m - 1)
     seq = validate_probabilities(p)
-    t = threshold(seq)
-    low = _lower(n, s, t.R_s)
-    return ExtremalConfig(
-        seq=seq,
-        target_bound=low.value,
-        attainment="exact",
-        parameters=GenerationParameters(n=n, s=s, R_s=1.0),
-    )
+    return _lower_config(seq, GenerationParameters(n=n, s=s, R_s=1.0), "exact")
 
 
 def lower_near_extremal_case3(
@@ -159,20 +154,11 @@ def lower_near_extremal_case3(
     m = n - s
     head = (1.0 + (2.0 - 2.0 * alpha) * m) / (1.0 + (3.0 - 2.0 * alpha) * m)
     tail = alpha / (m + alpha)
-    p = [0.0] * (s - 1) + [head] + [tail] * m
-    seq = validate_probabilities(p)
-    t = threshold(seq)
-    if t.s != s:
+    seq = validate_probabilities([0.0] * (s - 1) + [head] + [tail] * m)
+    if threshold(seq).s != s:
         raise InconsistentInput(
             f"alpha = {alpha!r} is too close to 1 to keep the threshold "
             f"at s = {s} in double precision"
         )
-    low = _lower(n, s, t.R_s)
-    return ExtremalConfig(
-        seq=seq,
-        target_bound=low.value,
-        attainment="limiting",
-        parameters=GenerationParameters(
-            n=n, s=s, R_s=2.0 - alpha + 1.0 / m, alpha=alpha
-        ),
-    )
+    params = GenerationParameters(n=n, s=s, R_s=2.0 - alpha + 1.0 / m, alpha=alpha)
+    return _lower_config(seq, params, "limiting")

@@ -148,12 +148,12 @@ def lindley_threshold(n: int) -> int:
     n = _size("n", n)
     if n < 1:
         raise EmptySequence("need n >= 1")
-    # a[k] = a_k for 1 <= k <= n; a_n = 0 by the empty-sum convention.
-    a = [0.0] * (n + 1)
-    for k in range(n - 1, 0, -1):
-        a[k] = a[k + 1] + 1.0 / k
+    # one running sum from a_n = 0 (the empty sum): after adding 1/(k-1)
+    # it holds a_{k-1}, so the first k at which it reaches 1 is the answer
+    a = 0.0
     for k in range(n, 1, -1):
-        if a[k - 1] >= 1.0:
+        a += 1.0 / (k - 1)
+        if a >= 1.0:
             return k
     return 1  # a_0 = +inf always qualifies
 

@@ -8,7 +8,8 @@ for Fractions, in 60-digit decimal arithmetic; none of it shares code (or
 rounding behaviour) with the library's floating-point paths.
 theorem_holds states the paper's claim on an exact_bound_report.
 full_enumeration_value is the float reference for the bits of
-oracle.exhaustive_value.
+oracle.exhaustive_value, and two_pass_lindley_threshold for the bits of
+oracle.lindley_threshold.
 
 The float helpers are prob_to_odds, the odds p/(1-p) of one entry;
 log_product_gap (which raises NegativeInput), the gap in
@@ -173,6 +174,19 @@ def full_enumeration_value(seq, k: int) -> float:
         weights = np.concatenate((weights * (1.0 - p_j), weights * p_j))
         successes = np.concatenate((successes, successes + (j >= k - 1)))
     return math.fsum(weights[successes == 1].tolist())
+
+
+def two_pass_lindley_threshold(n: int) -> int:
+    """The k with a_{k-1} >= 1 > a_k, a_k = 1/k + ... + 1/(n-1), from a list
+    of every harmonic suffix sum (a_n = 0) scanned back from k = n.  It
+    holds n + 1 floats, and makes the library's additions in its order."""
+    a = [0.0] * (n + 1)
+    for k in range(n - 1, 0, -1):
+        a[k] = a[k + 1] + 1.0 / k
+    for k in range(n, 1, -1):
+        if a[k - 1] >= 1.0:
+            return k
+    return 1  # a_0 = +inf always qualifies
 
 
 def prob_to_odds(p: float) -> float:

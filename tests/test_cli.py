@@ -698,7 +698,12 @@ def test_help_exits_0(runner, command):
     assert res.exit_code == 0
     assert res.stderr == ""
     assert res.stdout.startswith(f"usage: oddsrule {command} [--help]")
-    assert ("PROBS" in res.stdout) == (command in ("analyze", "oracle-check", "simulate"))
+    takes_input = command in ("analyze", "oracle-check", "simulate")
+    assert ("PROBS" in res.stdout) == takes_input
+    # the usage line draws the four inputs as independent brackets, so the
+    # PROBS help states the rule; argparse may wrap it anywhere
+    rule = "Give exactly one input: PROBS, --file, --secretary or --extremal."
+    assert (rule in " ".join(res.stdout.split())) == takes_input
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,20 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from exact_oracle import exact_threshold, exact_win, exact_window_win, prob_to_odds
+from exact_oracle import (
+    exact_threshold,
+    exact_win,
+    exact_window_win,
+    prob_to_odds,
+    two_pass_lindley_threshold,
+)
 from oddsrule import (
     EmptySequence,
     InvalidArgument,
@@ -458,6 +465,20 @@ class TestLindley:
     def test_rejects_nonpositive(self):
         with pytest.raises(EmptySequence):
             lindley_threshold(0)
+
+    def test_matches_the_two_pass_reference(self):
+        for n in [*range(1, 3001), 10**5, 10**6]:
+            assert lindley_threshold(n) == two_pass_lindley_threshold(n), n
+
+    def test_runs_in_constant_memory(self):
+        # the reference's list of n + 1 floats peaks at about 30 MiB here
+        tracemalloc.start()
+        try:
+            lindley_threshold(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # Each function that takes a count n or an index s refuses a float, a

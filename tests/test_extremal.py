@@ -316,6 +316,28 @@ def _small_configs():
             yield "lower", lower_extremal_case1(n, R_1)
 
 
+def _small_records():
+    # (attainment, parameters) of each _small_configs() record, in its order
+    for n in range(1, 60):
+        for s in sorted({1, max(1, n // 2), n}):
+            yield "exact", (n, s, 1.0, None)
+            for R_s in (1.0, 1.5, 7.0):
+                yield "exact", (n, s, R_s, None)
+            if s < n:
+                for alpha in (0.9, 0.999):
+                    yield "limiting", (n, s, 2.0 - alpha + 1.0 / (n - s), alpha)
+        yield "exact", (n, 1, 0.5, None)
+        for R_1 in (0.25, 0.5, 0.9):
+            yield "exact", (n, 1, R_1, None)
+
+
+def test_records_pin_attainment_and_parameters():
+    # case 1 reports the requested R_1 at s = 1, case 2 R_s = 1, case 3 the
+    # nominal window sum 2 - alpha + 1/(n-s) with its alpha, upper its R_s
+    records = [(cfg.attainment, cfg.parameters) for _, cfg in _small_configs()]
+    assert records == list(_small_records())
+
+
 def test_target_bound_is_the_public_bound_with_pinned_bits():
     # the generators call the unchecked bound formulas: each target has
     # the bits of the checked entry point, and the digest pins those bits
