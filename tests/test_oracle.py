@@ -250,6 +250,23 @@ class TestExhaustive:
             exhaustive_value(seq, k)
 
 
+def _z_scores(seq, k, trials, seeds):
+    """(wins - trials * V) / sqrt(trials * V * (1 - V)) for each seed, V
+    the exact value of the threshold-k rule."""
+    v = threshold_rule_value(seq, k)
+    sd = math.sqrt(trials * v * (1.0 - v))
+    return np.array([(monte_carlo(seq, k, trials, seed).wins - trials * v) / sd for seed in seeds])
+
+
+def _assert_standard_normal(z):
+    # R independent N(0, 1) scores: the mean has standard deviation
+    # 1/sqrt(R), the sample standard deviation about 1/sqrt(2(R - 1));
+    # each within 4 of those
+    r = z.size
+    assert abs(z.mean()) <= 4.0 / math.sqrt(r)
+    assert abs(z.std(ddof=1) - 1.0) <= 4.0 / math.sqrt(2 * (r - 1))
+
+
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
         seq = validate_probabilities([0, 0, 0.5, 0, 0])
@@ -374,6 +391,96 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 16 * MC_CHUNK
+
+    def test_memory_bounded_whatever_the_trials(self):
+        # 10^7 trials run in slabs: no scratch array grows with trials
+        seq = validate_probabilities([0.1, 0.3, 0.2, 0.25, 0.4])
+        tracemalloc.start()
+        try:
+            monte_carlo(seq, 1, 10_000_000, seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    def test_memory_bounded_whatever_the_window(self):
+        # a window of 632 121 columns, prepared a group at a time
+        seq = secretary_sequence(1_000_000)
+        s = threshold(seq).s
+        tracemalloc.start()
+        try:
+            monte_carlo(seq, s, 100_000, seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "probs, every_trial_wins",
+        [
+            ([5e-324], False),
+            ([1e-300], False),
+            ([1 - 2**-53], True),
+            ([5e-324, 0.0, 1.0, 1e-300], True),
+            ([1e-300, 1 - 2**-53, 0.0, 5e-324], True),
+            ([0.0, 1 - 2**-53, 5e-324, 1.0], False),
+        ],
+    )
+    def test_edge_columns(self, probs, every_trial_wins):
+        # 1/-log1p(-5e-324) overflows and 0 * inf is nan: no such value
+        # may reach a gap, and no floating-point exception may be raised;
+        # 2^17 + 5 trials take two slabs
+        trials = (1 << 17) + 5
+        with np.errstate(all="raise"):
+            rep = monte_carlo(validate_probabilities(probs), 1, trials, seed=8)
+        assert rep.wins == (trials if every_trial_wins else 0)
+
+    def test_saturating_count_does_not_wrap(self):
+        # about 300 successes per trial; a count kept modulo 256 would
+        # read 1 on the trials with 257, about 7 of 10^5
+        rep = monte_carlo(validate_probabilities([0.5] * 600), 1, 100_000, seed=4)
+        assert rep.wins == 0
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            ORACLE_FAMILIES_20["near_tie_a"],
+            [0.2, 0.3, 1.0, 0.1, 0.25],
+            [2e-5] * 50_000,
+            secretary_sequence(10_000).p,
+        ],
+        ids=["near_tie", "sure_at_threshold", "tiny_p", "long_window"],
+    )
+    def test_win_counts_are_binomial(self, probs):
+        seq = validate_probabilities(probs)
+        z = _z_scores(seq, threshold(seq).s, 10_000, range(40))
+        _assert_standard_normal(z)
+
+    def test_side_streams_keep_the_distribution(self, monkeypatch):
+        # a tenth of the main draws: nearly every column ends inside the
+        # trials and continues from its side generator
+        main_draws = oracle._main_draws
+        side_calls = []
+
+        def undersized(trials, p):
+            side_calls.append(np.ndim(p) == 0)
+            return main_draws(trials, p) // 10
+
+        monkeypatch.setattr(oracle, "_main_draws", undersized)
+        seq = validate_probabilities([0.1, 0.3, 0.2, 0.25, 0.4])
+        z = _z_scores(seq, 1, 10_000, range(40))
+        assert any(side_calls)
+        assert np.all(np.abs(z) <= 4.0)
+        _assert_standard_normal(z)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
+    def test_side_streams_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
+        main_draws = oracle._main_draws
+        monkeypatch.setattr(oracle, "_main_draws", lambda trials, p: main_draws(trials, p) // 10)
+        seq = validate_probabilities([0.1, 0.3, 0.2, 0.25, 0.4])
+        want = monte_carlo(seq, 1, 3_000, seed=13)
+        monkeypatch.setattr(oracle, "MC_CHUNK", chunk)
+        assert monte_carlo(seq, 1, 3_000, seed=13) == want
 
 
 class TestCrossCheck:
