@@ -54,8 +54,9 @@ class InvalidArgument(OddsRuleError, ValueError):
 
 
 class TooLarge(OddsRuleError):
-    """The request exceeds a hard size cap: the exhaustive oracle's n, or
-    an n or s of magnitude sys.maxsize or more, a length no list reaches."""
+    """The request exceeds a hard size cap: the exhaustive oracle's n, an
+    n or s of magnitude sys.maxsize or more, a length no list reaches, or
+    Monte Carlo trials as large, beyond numpy's int64 binomial counts."""
 
 
 class InternalBoundViolation(OddsRuleError):

@@ -8,9 +8,9 @@ evaluation in :mod:`oddsrule.core`:
 * Lindley's harmonic-sum threshold of the secretary sequence p_j = 1/j,
 * exhaustive enumeration of the outcome vectors the rule wins on
   (n <= 20),
-* a seeded Monte Carlo simulator that draws, for each column of the
-  rule's window, the gaps between the trials it succeeds in, so its
-  cost follows trials * (p_k + ... + p_n) and its memory is bounded.
+* a seeded Monte Carlo simulator that carries the counts of trials
+  with no and with one success through the rule's window, two binomial
+  draws a column, so neither its cost nor its memory grows with trials.
 
 The package imports this module on first use of one of its names, so
 ``import oddsrule`` and the ``analyze``, ``secretary``, ``sweep`` and
@@ -40,9 +40,6 @@ from .errors import EmptySequence, IndexOutOfRange, InvalidArgument, TooLarge
 
 ORACLE_TOL = 1e-12  # agreement of each exact oracle with V_n
 EXHAUSTIVE_MAX_N = 20
-MC_CHUNK = 1 << 16  # gap entries per Monte Carlo block
-_MC_SLAB = 1 << 17  # trials whose success counts are held at once
-_MC_COLUMNS = 1 << 10  # window columns prepared at once
 _FSUM_SLICE = 1 << 12  # weights per tolist() fed to fsum
 
 
@@ -205,133 +202,43 @@ def exhaustive_value(seq: OddsSequence, k: int) -> float:
     return math.fsum(itertools.chain.from_iterable(slices))
 
 
-def _main_draws(trials, p):
-    """Gaps a column of success probability ``p`` draws from the main
-    stream for a slab of ``trials`` trials: m + 6 sqrt(m) + 8 for the mean
-    success count m = trials * p, more than 6 standard deviations above
-    it, so the gaps rarely end inside the slab.  Takes arrays or scalars."""
-    import numpy as np
-
-    m = trials * p
-    return (m + 6.0 * np.sqrt(m) + 8.0).astype(np.int64)
-
-
-def _add_gaps(rng, counts, scale, sizes, last) -> None:
-    """Draw ``sizes[i]`` gaps for column i from ``rng``, the columns in
-    order, and extend each column's successes from its position
-    ``last[i]``: count those inside the slab in ``counts`` (one entry per
-    trial) and leave each column's new position in ``last``."""
-    import numpy as np
-
-    trials = counts.size
-    x = rng.standard_exponential(int(sizes.sum()))
-    x *= np.repeat(scale, sizes)
-    # G = floor(E / rate) + 1, capped at trials + 1 (past the slab) before
-    # the cast
-    np.minimum(x, trials, out=x)
-    g = x.astype(np.int64)
-    del x
-    g += 1
-    # one cumsum gives every column's positions once its first gap is
-    # raised by its position so far and lowered by the sum before it
-    drawn = np.flatnonzero(sizes)
-    ends = np.cumsum(sizes[drawn])
-    starts = ends - sizes[drawn]
-    g[starts] += last[drawn]
-    g[starts[1:]] -= np.add.reduceat(g, starts)[:-1]
-    np.cumsum(g, out=g)
-    last[drawn] = g[ends - 1]
-    hits = g[g <= trials]
-    del g
-    hits -= 1
-    np.add.at(counts, hits, counts.dtype.type(1))
-
-
-def _sample_columns(rng, counts, p, columns, key: int, slab: int) -> None:
-    """Add to ``counts`` (one entry per trial of the slab) the successes of
-    window columns with 0 < p < 1, ``columns`` their window indices.
-
-    The columns' main draws (``_main_draws``) follow each other in
-    ``rng``, taken in blocks of at most MC_CHUNK entries; a block may
-    split a column.  A column whose gaps end inside the slab continues
-    from default_rng([key, slab, column]).
-    """
-    import numpy as np
-
-    trials = counts.size
-    # p below 1e-300 is drawn at 1e-300, so 1/rate and E/rate stay finite
-    # (at p = 5e-324 the rate is subnormal); either way a gap reaches
-    # trials + 1 unless E < trials * 1e-300
-    scale = 1.0 / -np.log1p(-np.maximum(p, 1e-300))
-    draws = _main_draws(trials, p)
-    ends = np.cumsum(draws)
-    starts = ends - draws
-    last = np.zeros(p.size, dtype=np.int64)  # each column's position so far
-    total = int(ends[-1])
-    for lo in range(0, total, MC_CHUNK):
-        hi = min(lo + MC_CHUNK, total)
-        c0 = int(np.searchsorted(ends, lo, "right"))
-        c1 = int(np.searchsorted(starts, hi))
-        sizes = np.minimum(ends[c0:c1], hi) - np.maximum(starts[c0:c1], lo)
-        _add_gaps(rng, counts, scale[c0:c1], sizes, last[c0:c1])
-    for i in np.flatnonzero(last <= trials):
-        side = np.random.default_rng([key, slab, int(columns[i])])
-        while last[i] <= trials:
-            size = max(1, int(_main_draws(trials - last[i], p[i])))
-            _add_gaps(side, counts, scale[i : i + 1], np.array([size]), last[i : i + 1])
-
-
 def monte_carlo(
     seq: OddsSequence, k: int, trials: int, seed: int
 ) -> SimulationReport:
     """Simulate the threshold-k rule on sampled indicator vectors.
 
     A trial is a win when its window [k, n] holds exactly one success,
-    so only the window columns p_k..p_n are drawn.  In each column the
-    trials that succeed form a Bernoulli process over the trial index, so
-    the gaps between them are drawn directly as geometric variates,
-    G = floor(E / -log1p(-p)) + 1 with E standard exponential (Devroye,
-    Non-Uniform Random Variate Generation, 1986, ch. 10).  The expected
-    number of draws is trials * sum(p_j) plus a margin per column, not
-    trials * (n - k + 1); at the threshold that sum is below 2.
+    so only the window columns p_k..p_n are drawn.  The trials are i.i.d.
+    and so exchangeable: the win count depends only on how many trials
+    have no success so far (``none``) and how many exactly one (``one``).
+    In column j, Binomial(one, p_j) of the latter reach a second success
+    and Binomial(none, p_j) of the former their first, so the counts have
+    the law they would have if every trial's indicators were drawn, and
+    the wins are the final ``one``.
 
-    Each trial's successes are counted, saturating at 2; a p = 1 column
-    adds 1 to every trial and a p = 0 column draws nothing.  The trials
-    run in slabs of at most 2^17 and the window in groups of at most 2^10
-    columns, drawn in blocks of at most MC_CHUNK (2^16) gap entries, so
-    the scratch memory (about 1.3 MiB) grows with neither trials nor n.
-
-    The stream: one generator, default_rng(seed mod 2^64), gives each
-    slab's columns in order a number of draws that depends only on the
-    slab size and p_j (``_main_draws``); a column whose gaps end inside
-    the slab continues from default_rng([seed mod 2^64, slab, j]), j its
-    index in the window.  So the report is a function of (seed, trials,
-    p_k..p_n) alone, whatever MC_CHUNK is.  Raises InvalidArgument when
-    trials or seed is not an integer, or trials is below 1.
+    Each nonzero column costs two binomial draws, whatever ``trials`` is,
+    and the scratch memory is constant: the window is read in place.  The
+    draws come from one generator, default_rng(seed mod 2^64), in column
+    order, so the report is a function of (seed, trials, p_k..p_n) alone.
+    Raises InvalidArgument when trials or seed is not an integer, or
+    trials is below 1, and TooLarge when trials is sys.maxsize or more.
     """
     k = _window_start(k, seq.n)
-    trials = _integer("trials", trials)
+    trials = _size("trials", trials)
     seed = _integer("seed", seed)
     if trials < 1:
         raise InvalidArgument(f"need trials >= 1, got {trials}")
     import numpy as np
 
-    key = seed % (1 << 64)
-    rng = np.random.default_rng(key)
-    # a count reaches at most 2 + _MC_COLUMNS before each saturation
-    counts = np.empty(min(trials, _MC_SLAB), dtype=np.uint16)
-    wins = 0
-    for slab, first in enumerate(range(0, trials, counts.size)):
-        c = counts[: min(counts.size, trials - first)]
-        c.fill(0)
-        for a in range(k - 1, seq.n, _MC_COLUMNS):
-            p = np.array(seq.p[a : a + _MC_COLUMNS])
-            c += int(np.count_nonzero(p == 1.0))
-            live = np.flatnonzero((p > 0.0) & (p < 1.0))
-            if live.size:
-                _sample_columns(rng, c, p[live], live + (a - k + 1), key, slab)
-            np.minimum(c, 2, out=c)
-        wins += int(np.count_nonzero(c == 1))
+    binomial = np.random.default_rng(seed % (1 << 64)).binomial  # returns an int
+    none, one = trials, 0
+    for p_j in itertools.islice(seq.p, k - 1, None):
+        if p_j > 0.0:
+            two = binomial(one, p_j)
+            first = binomial(none, p_j)
+            none -= first
+            one += first - two
+    wins = one
     estimate = wins / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return SimulationReport(

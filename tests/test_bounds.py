@@ -18,6 +18,7 @@ from exact_oracle import (
 from oddsrule import (
     BoundReport,
     InconsistentInput,
+    InternalBoundViolation,
     InvalidArgument,
     NotANumber,
     bound_report,
@@ -29,7 +30,12 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
+from oddsrule import bounds
 from oddsrule.bounds import EQUALITY_TOL, _decay
+
+# n = 3, s = 2 and R_2 = 3/2 + 2/3 > 2: case 3, so the lower bound, the
+# corollary and the Allaart-Islas floor take _decay(1.0, m) at m = 1, 2, 3
+CASE3_N3 = [0.1, 0.6, 0.4]
 
 
 class TestUpperBound:
@@ -288,6 +294,26 @@ class TestBoundReport:
         assert report.lower_case == 3
         assert report.lower_strict
         assert report.v_n > report.lower
+
+    @pytest.mark.parametrize(
+        "bound_id, name, value",
+        [
+            ("upper", "_prob", lambda R: 0.0),
+            ("lower", "_decay", lambda R, m: 1.0 if m == 1 else _decay(R, m)),
+            ("corollary", "_decay", lambda R, m: 1.0 if m == 2 else _decay(R, m)),
+            ("one_over_e", "E_BOUND", 1.0),
+            ("allaart_islas", "_decay", lambda R, m: 1.0 if m == 3 else _decay(R, m)),
+        ],
+    )
+    def test_a_bound_past_v_n_raises(self, monkeypatch, bound_id, name, value):
+        # each bound in turn is moved past V_n, the others left alone
+        seq = validate_probabilities(CASE3_N3)
+        v = win_probability(seq, threshold(seq)).value
+        monkeypatch.setattr(bounds, name, value)
+        with pytest.raises(InternalBoundViolation) as info:
+            bound_report(seq)
+        assert (info.value.bound_id, info.value.v_n) == (bound_id, v)
+        assert info.value.bound_value == (0.0 if bound_id == "upper" else 1.0)
 
     def test_sandwich_on_random_corpus(self):
         rng = np.random.default_rng(3)

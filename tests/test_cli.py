@@ -333,7 +333,7 @@ class TestOracleCheck:
         assert doc["checks"]["dp"] is False
         assert res.stderr == "error: oracle disagreement\n"
 
-    @pytest.mark.parametrize("args", [["0.00001"], ["--format", "json", "1e-7"]])
+    @pytest.mark.parametrize("args", [["0.000001"], ["--format", "json", "1e-7"]])
     def test_v_n_far_below_one_over_trials_agrees(self, runner, args):
         # no trial wins, so the plug-in standard error is 0; the band is
         # the standard error under the hypothesis p = V_n instead
@@ -658,6 +658,16 @@ def test_a_size_no_list_reaches_exits_2(runner, args, bits):
     assert res.stderr == f"error: n is an integer of {bits} bits; need |n| < sys.maxsize\n"
 
 
+# trials = 2**63: numpy's binomial takes no count that large, so the library
+# refuses it (TooLarge) before drawing
+@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+def test_trials_no_int64_holds_exits_2(runner, command):
+    res = invoke(runner, command, "--trials", str(2**63), "0.5")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: trials is an integer of 64 bits; need |trials| < sys.maxsize\n"
+
+
 # the wrapper caps its child's address space, then reports the child's exit
 # code and peak RSS (its only child, so RUSAGE_CHILDREN is that child's)
 CAPPED_PROBE = """
@@ -734,6 +744,17 @@ def test_library_errors_map_to_exit_codes(runner, monkeypatch, args, module, nam
     assert res.exit_code == code
     assert res.stdout == ""
     assert res.stderr == f"error: {error}\n"
+
+
+def test_bound_violation_in_analyze_exits_3(runner, monkeypatch):
+    # the real raise in bound_report, not a replaced bound_report
+    monkeypatch.setattr(bounds, "E_BOUND", 1.0)
+    seq = validate_probabilities([0.1, 0.6, 0.4])
+    v = win_probability(seq, threshold(seq)).value
+    res = invoke(runner, "analyze", "0.1,0.6,0.4")
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"error: bound 'one_over_e' violated: V_n = {v!r} vs bound = 1.0\n"
 
 
 def test_unknown_option_before_the_command_is_reported_at_the_top(runner):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,8 +21,6 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
-from oddsrule import oracle
-from oddsrule.oracle import MC_CHUNK
 
 
 # the oracle-check families at n = 20, and a sequence whose threshold is n
@@ -282,7 +281,7 @@ class TestMonteCarlo:
 
     def test_crosses_chunk_boundaries(self):
         seq = validate_probabilities([0.5, 0.5])
-        trials = MC_CHUNK + 123
+        trials = (1 << 16) + 123
         rep = monte_carlo(seq, 1, trials, seed=9)
         assert rep.trials == trials
         assert 0 <= rep.wins <= trials
@@ -305,8 +304,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("width", [255, 256, 257, 513])
     def test_sure_successes_never_win(self, width):
-        # with p = 1 throughout, every row of the window has width hits,
-        # never one; a hit count kept modulo 256 would read 1 at 257 and 513
+        # with p = 1 throughout, every trial has width successes, never one;
+        # the widths straddle 256 and 512, where a byte-wide count would wrap
         rep = monte_carlo(validate_probabilities([1.0] * width), 1, 100, seed=3)
         assert rep.wins == 0
 
@@ -321,6 +320,18 @@ class TestMonteCarlo:
         seq = validate_probabilities([0.5])
         with pytest.raises(ValueError):
             monte_carlo(seq, 1, 0, seed=1)
+
+    def test_trials_no_int64_holds_are_too_large(self):
+        seq = validate_probabilities([0.5])
+        for trials in (sys.maxsize, 2**64):
+            with pytest.raises(TooLarge, match="trials"):
+                monte_carlo(seq, 1, trials, seed=1)
+
+    def test_huge_trials_finish_within_four_se(self):
+        seq = validate_probabilities([0.1, 0.3, 0.2, 0.25, 0.4])
+        rep = monte_carlo(seq, 1, 2**62, seed=42)
+        v = threshold_rule_value(seq, 1)
+        assert abs(rep.estimate - v) <= 4.0 * math.sqrt(v * (1.0 - v) / rep.trials)
 
     def test_bad_trials_raise_package_error(self):
         seq = validate_probabilities([0.5])
@@ -352,24 +363,13 @@ class TestMonteCarlo:
         assert rep.seed == -7
         assert rep == monte_carlo(seq, 1, 1000, seed=-7)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
-    def test_report_does_not_depend_on_chunk_size(self, monkeypatch, chunk):
-        # at the default chunk size, 70 000 trials of width 5 take two blocks
-        seq = validate_probabilities([0.1, 0.3, 0.2, 0.25, 0.4])
-        want = monte_carlo(seq, 1, 70_000, seed=13)
-        monkeypatch.setattr(oracle, "MC_CHUNK", chunk)
-        assert monte_carlo(seq, 1, 70_000, seed=13) == want
-
     def test_only_the_window_is_drawn(self):
         w = [0.2, 0.05, 0.5, 0.3]
         for seed in (0, 3, -1):
             behind_prefix = monte_carlo(validate_probabilities([0.3, 0.9] + w), 3, 20_000, seed)
             assert behind_prefix == monte_carlo(validate_probabilities(w), 1, 20_000, seed)
 
-    def test_memory_bounded_by_trials(self, monkeypatch):
-        # a block of MC_CHUNK = 2^30 uniforms would take 8 GiB; the buffers
-        # hold no more rows than there are trials
-        monkeypatch.setattr(oracle, "MC_CHUNK", 1 << 30)
+    def test_memory_bounded_by_trials(self):
         seq = secretary_sequence(1000)
         s = threshold(seq).s
         trials = 1_000
@@ -390,10 +390,10 @@ class TestMonteCarlo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * MC_CHUNK
+        assert peak < 16 * (1 << 16)
 
     def test_memory_bounded_whatever_the_trials(self):
-        # 10^7 trials run in slabs: no scratch array grows with trials
+        # 10^7 trials: no scratch array grows with trials
         seq = validate_probabilities([0.1, 0.3, 0.2, 0.25, 0.4])
         tracemalloc.start()
         try:
@@ -404,7 +404,7 @@ class TestMonteCarlo:
         assert peak <= 2 * 2**20
 
     def test_memory_bounded_whatever_the_window(self):
-        # a window of 632 121 columns, prepared a group at a time
+        # a window of 632 121 columns, read in place
         seq = secretary_sequence(1_000_000)
         s = threshold(seq).s
         tracemalloc.start()
@@ -414,6 +414,23 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "probs, trials",
+        [(secretary_sequence(1_000_000).p, 100_000), ([0.1, 0.3, 0.2, 0.25, 0.4], 10_000_000)],
+        ids=["wide_window", "many_trials"],
+    )
+    def test_scratch_memory_is_constant(self, probs, trials):
+        # two counts and the generator: no array grows with trials or n
+        seq = validate_probabilities(probs)
+        s = threshold(seq).s
+        tracemalloc.start()
+        try:
+            monte_carlo(seq, s, trials, seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**10
 
     @pytest.mark.parametrize(
         "probs, every_trial_wins",
@@ -427,17 +444,16 @@ class TestMonteCarlo:
         ],
     )
     def test_edge_columns(self, probs, every_trial_wins):
-        # 1/-log1p(-5e-324) overflows and 0 * inf is nan: no such value
-        # may reach a gap, and no floating-point exception may be raised;
-        # 2^17 + 5 trials take two slabs
+        # subnormal p, and p one ulp below 1, which numpy's binomial draws
+        # through 1 - p = 2^-53: no floating-point exception may be raised
         trials = (1 << 17) + 5
         with np.errstate(all="raise"):
             rep = monte_carlo(validate_probabilities(probs), 1, trials, seed=8)
         assert rep.wins == (trials if every_trial_wins else 0)
 
     def test_saturating_count_does_not_wrap(self):
-        # about 300 successes per trial; a count kept modulo 256 would
-        # read 1 on the trials with 257, about 7 of 10^5
+        # about 300 successes per trial: not one of 10^5 trials has exactly
+        # one, the 257 that a count kept modulo 256 would misread included
         rep = monte_carlo(validate_probabilities([0.5] * 600), 1, 100_000, seed=4)
         assert rep.wins == 0
 
@@ -455,32 +471,6 @@ class TestMonteCarlo:
         seq = validate_probabilities(probs)
         z = _z_scores(seq, threshold(seq).s, 10_000, range(40))
         _assert_standard_normal(z)
-
-    def test_side_streams_keep_the_distribution(self, monkeypatch):
-        # a tenth of the main draws: nearly every column ends inside the
-        # trials and continues from its side generator
-        main_draws = oracle._main_draws
-        side_calls = []
-
-        def undersized(trials, p):
-            side_calls.append(np.ndim(p) == 0)
-            return main_draws(trials, p) // 10
-
-        monkeypatch.setattr(oracle, "_main_draws", undersized)
-        seq = validate_probabilities([0.1, 0.3, 0.2, 0.25, 0.4])
-        z = _z_scores(seq, 1, 10_000, range(40))
-        assert any(side_calls)
-        assert np.all(np.abs(z) <= 4.0)
-        _assert_standard_normal(z)
-
-    @pytest.mark.parametrize("chunk", [1, 7, 1 << 30])
-    def test_side_streams_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
-        main_draws = oracle._main_draws
-        monkeypatch.setattr(oracle, "_main_draws", lambda trials, p: main_draws(trials, p) // 10)
-        seq = validate_probabilities([0.1, 0.3, 0.2, 0.25, 0.4])
-        want = monte_carlo(seq, 1, 3_000, seed=13)
-        monkeypatch.setattr(oracle, "MC_CHUNK", chunk)
-        assert monte_carlo(seq, 1, 3_000, seed=13) == want
 
 
 class TestCrossCheck:
