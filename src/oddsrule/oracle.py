@@ -40,7 +40,7 @@ from .errors import EmptySequence, IndexOutOfRange, InvalidArgument, TooLarge
 
 ORACLE_TOL = 1e-12  # agreement of each exact oracle with V_n
 EXHAUSTIVE_MAX_N = 20
-_FSUM_SLICE = 1 << 12  # weights per tolist() fed to fsum
+_SUM_SLICE = 1 << 16  # weights per pass of _exact_sum
 
 
 @dataclass(frozen=True)
@@ -168,10 +168,11 @@ def exhaustive_value(seq: OddsSequence, k: int) -> float:
     is, exactly when the window [k, n] holds one success, so only those
     outcomes are enumerated: all 2^(k-1) prefixes, each extended by the
     n-k+1 ways to place the window's one success.  Their weights are
-    summed by one math.fsum, which is correctly rounded whatever the
-    order, so the result has the bits of summing the winning weights of
-    the full enumeration.  Capped at n = 20; the scratch memory is the
-    2^(k-1) * (n-k+2) <= 2^20 doubles of two arrays filled in place.
+    summed exactly and rounded once (:func:`_exact_sum`, the bits of
+    math.fsum), so the result has the bits of summing the winning weights
+    of the full enumeration in any order.  Capped at n = 20; the scratch
+    memory is the 2^(k-1) * (n-k+2) <= 2^20 doubles of two arrays filled
+    in place, and the sum's temporaries for at most 2^16 weights at a time.
     """
     n = seq.n
     if n > EXHAUSTIVE_MAX_N:
@@ -197,9 +198,35 @@ def exhaustive_value(seq: OddsSequence, k: int) -> float:
         one[: t * m] *= 1.0 - p_j
         np.multiply(none, p_j, out=one[t * m : (t + 1) * m])
         none *= 1.0 - p_j
-    # tolist() in slices, so no Python list of all the weights exists
-    slices = (one[i : i + _FSUM_SLICE].tolist() for i in range(0, one.size, _FSUM_SLICE))
-    return math.fsum(itertools.chain.from_iterable(slices))
+    return _exact_sum(one, np)
+
+
+def _exact_sum(w, np) -> float:
+    """Correctly rounded sum of the nonnegative finite doubles in ``w``:
+    the bits math.fsum returns, +0.0 for a zero sum included.
+
+    np.frexp writes each weight as m * 2^e with m in [0.5, 1).  Adding
+    and removing 2^25 rounds m to hi, a multiple of 2^-27, and leaves
+    lo = m - hi, a multiple of 2^-53 with |lo| <= 2^-28.  Over a slice of
+    2^16 weights the per-exponent sums of hi and of lo (np.bincount) are
+    exact, as in units of their grids they are integers below 2^43.  The
+    buckets join as Python ints in units of 2^-1127 (the exponents are
+    shifted by 1074, so every index is at least 1), and int true
+    division rounds the total once, half to even.
+    """
+    total = 0
+    for i in range(0, w.size, _SUM_SLICE):
+        m, e = np.frexp(w[i : i + _SUM_SLICE])
+        hi = m + 2.0**25
+        hi -= 2.0**25
+        m -= hi
+        e += 1074
+        hi_sums = np.bincount(e, hi)
+        lo_sums = np.bincount(e, m)
+        # a bucket holds a nonzero weight exactly when its hi sum is > 0
+        for b in (hi_sums > 0.0).nonzero()[0].tolist():
+            total += ((int(hi_sums[b] * 2.0**27) << 26) + int(lo_sums[b] * 2.0**53)) << b
+    return total / (1 << 1127)
 
 
 def monte_carlo(

@@ -8,8 +8,9 @@ for Fractions, in 60-digit decimal arithmetic; none of it shares code (or
 rounding behaviour) with the library's floating-point paths.
 theorem_holds states the paper's claim on an exact_bound_report.
 full_enumeration_value is the float reference for the bits of
-oracle.exhaustive_value, and two_pass_lindley_threshold for the bits of
-oracle.lindley_threshold.
+oracle.exhaustive_value: it sums with math.fsum, a route independent of
+the library's per-exponent integer sums, as two_pass_lindley_threshold
+is the reference for the bits of oracle.lindley_threshold.
 
 The float helpers are prob_to_odds, the odds p/(1-p) of one entry;
 log_product_gap (which raises NegativeInput), the gap in
@@ -164,9 +165,10 @@ def full_enumeration_value(seq, k: int) -> float:
 
     Outcome i has I_j = bit j of i and weight prod p_j^{I_j} (1-p_j)^{1-I_j},
     multiplied left to right; the weights of the outcomes whose window
-    [k, n] holds exactly one success are summed by math.fsum.  It forms
-    every weight and a Python list of the winning half, so it is meant
-    for n <= 20.
+    [k, n] holds exactly one success are summed by math.fsum, not by the
+    library's exact bucket sum, so the two sums check each other.  It
+    forms every weight and a Python list of the winning half, so it is
+    meant for n <= 20.
     """
     weights = np.ones(1)
     successes = np.zeros(1, dtype=np.int8)  # in the window [k, n]

@@ -2,8 +2,10 @@ import math
 import sys
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from exact_oracle import exact_window_win, full_enumeration_value
 from oddsrule import (
@@ -21,6 +23,7 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
+from oddsrule.oracle import _exact_sum
 
 
 # the oracle-check families at n = 20, and a sequence whose threshold is n
@@ -249,6 +252,60 @@ class TestExhaustive:
             exhaustive_value(seq, k)
 
 
+class TestExactSum:
+    """``oracle._exact_sum`` returns the bits of math.fsum."""
+
+    @pytest.mark.parametrize(
+        "weights, want",
+        [
+            ([1.0, 2**-53], 1.0),
+            ([1.0, 2**-53, 5e-324], 1.0 + 2**-52),
+            ([1.0 + 2**-52, 2**-53], 1.0 + 2**-51),
+            ([5e-324] * 3, 1.5e-323),
+            ([-0.0, 0.0], 0.0),
+            ([-0.0], 0.0),
+            ([1.0], 1.0),
+        ],
+        ids=["tie_to_even", "past_the_tie", "tie_up_to_even", "subnormals", "signed_zeros",
+             "negative_zero", "one"],
+    )
+    def test_rounds_once_half_to_even(self, weights, want):
+        # the exact sum is rounded once: a tie goes to the even neighbour,
+        # and the smallest subnormal past it breaks the tie; a zero sum is +0.0
+        got = _exact_sum(np.array(weights), np)
+        assert got.hex() == want.hex() == math.fsum(weights).hex()
+
+    @pytest.mark.parametrize("size", [2**16 + 1, 3 * 2**16])
+    def test_buckets_join_across_slices(self, size):
+        # 1.0 in the first slice, then 2^-53 in every later place: adding
+        # them in order rounds each 2^-53 away, the exact sum keeps them all
+        ties = np.full(size, 2.0**-53)
+        ties[0] = 1.0
+        assert _exact_sum(ties, np) == 1.0 + (size - 1) * 2.0**-53 == math.fsum(ties.tolist())
+        assert float(np.cumsum(ties)[-1]) == 1.0
+        # wide exponents and the largest mantissas, in every slice
+        rng = np.random.default_rng(size)
+        w = rng.random(size) ** rng.integers(1, 400, size)
+        w[::7] = 1.0 - 2.0**-53
+        w[::11] = 5e-324
+        assert _exact_sum(w, np).hex() == math.fsum(w.tolist()).hex()
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=2.0**1000),
+                st.floats(min_value=0.0, max_value=2.0**-1000),
+                st.sampled_from([-0.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 1.0]),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_fsum_on_nonnegative_floats(self, weights):
+        got = _exact_sum(np.array(weights, dtype=float), np)
+        assert got.hex() == math.fsum(weights).hex()
+
+
 def _z_scores(seq, k, trials, seeds):
     """(wins - trials * V) / sqrt(trials * V * (1 - V)) for each seed, V
     the exact value of the threshold-k rule."""
@@ -398,18 +455,6 @@ class TestMonteCarlo:
         tracemalloc.start()
         try:
             monte_carlo(seq, 1, 10_000_000, seed=42)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 2**20
-
-    def test_memory_bounded_whatever_the_window(self):
-        # a window of 632 121 columns, read in place
-        seq = secretary_sequence(1_000_000)
-        s = threshold(seq).s
-        tracemalloc.start()
-        try:
-            monte_carlo(seq, s, 100_000, seed=42)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
