@@ -7,7 +7,8 @@ evaluation in :mod:`oddsrule.core`:
 * the exact value of every fixed threshold rule,
 * Lindley's harmonic-sum threshold of the secretary sequence p_j = 1/j,
 * exhaustive enumeration of the outcome vectors the rule wins on
-  (n <= 20),
+  (n <= 20), streamed through slices of at most 2^16 weights and summed
+  exactly by exponent buckets,
 * a seeded Monte Carlo simulator that carries the counts of trials
   with no and with one success through the rule's window, two binomial
   draws a column, so neither its cost nor its memory grows with trials.
@@ -40,7 +41,8 @@ from .errors import EmptySequence, IndexOutOfRange, InvalidArgument, TooLarge
 
 ORACLE_TOL = 1e-12  # agreement of each exact oracle with V_n
 EXHAUSTIVE_MAX_N = 20
-_SUM_SLICE = 1 << 16  # weights per pass of _exact_sum
+_SLICE_BITS = 16  # exhaustive_value sums at most 2^16 weights at a time
+_HI_MASK = (1 << 64) - (1 << 26)  # a double's bits but the low 26
 
 
 @dataclass(frozen=True)
@@ -85,15 +87,18 @@ def dp_optimal_value(seq: OddsSequence) -> DPResult:
     """Optimal success probability over all stopping times, by exact
     backward induction."""
     n = seq.n
+    p = seq.p
     values = [0.0] * (n + 1)  # values[k-1] = V_k, values[n] = V_{n+1} = 0
     stop = []
     q_next = 1.0  # Q_{k+1}
+    v_next = 0.0  # V_{k+1}
     for k in range(n, 0, -1):
-        p_k = seq.p[k - 1]
-        v_next = values[k]
+        p_k = p[k - 1]
         if q_next > v_next:
             stop.append(k)
-        values[k - 1] = v_next + p_k * max(q_next - v_next, 0.0)
+            v_next += p_k * (q_next - v_next)
+        # else V_k = V_{k+1} + p_k * 0.0, which is V_{k+1} as that is never -0.0
+        values[k - 1] = v_next
         q_next -= p_k * q_next
     return DPResult(
         value=values[0], stop_set=frozenset(stop), continuation=tuple(values)
@@ -166,13 +171,14 @@ def exhaustive_value(seq: OddsSequence, k: int) -> float:
     product taken left to right in trial order.  The rule stops at the
     first success at or after k and wins when no success follows, that
     is, exactly when the window [k, n] holds one success, so only those
-    outcomes are enumerated: all 2^(k-1) prefixes, each extended by the
-    n-k+1 ways to place the window's one success.  Their weights are
-    summed exactly and rounded once (:func:`_exact_sum`, the bits of
-    math.fsum), so the result has the bits of summing the winning weights
-    of the full enumeration in any order.  Capped at n = 20; the scratch
-    memory is the 2^(k-1) * (n-k+2) <= 2^20 doubles of two arrays filled
-    in place, and the sum's temporaries for at most 2^16 weights at a time.
+    outcomes are enumerated (:func:`_winning_weights`): all 2^(k-1)
+    prefixes, each extended by the n-k+1 ways to place the window's one
+    success.  Their weights are summed exactly and rounded once
+    (:func:`_exact_sum`, the bits of math.fsum), so the result has the
+    bits of summing the winning weights of the full enumeration in any
+    order.  Capped at n = 20; the weights stream through slices of at
+    most 2^16, so the scratch memory is a few such arrays (under 3 MiB)
+    whatever k is.
     """
     n = seq.n
     if n > EXHAUSTIVE_MAX_N:
@@ -180,53 +186,88 @@ def exhaustive_value(seq: OddsSequence, k: int) -> float:
     k = _window_start(k, n)
     import numpy as np
 
-    # Prefix outcome i has I_j = bit j of i: each trial doubles the
-    # filled part in place, the new upper half being the outcomes with
-    # I_j = 1 (written first, from the lower half before it is scaled).
-    m = 1 << (k - 1)
-    none = np.empty(m)
-    none[0] = 1.0
-    for j, p_j in enumerate(seq.p[: k - 1]):
-        h = 1 << j
-        np.multiply(none[:h], p_j, out=none[h : 2 * h])
-        none[:h] *= 1.0 - p_j
-    # In the window, none holds the weights with no success so far and
-    # one, in blocks of m, those with exactly one: block t has its
-    # success at trial k + t.  Outcomes with two are never formed.
-    one = np.empty(m * (n - k + 1))
-    for t, p_j in enumerate(seq.p[k - 1 :]):
-        one[: t * m] *= 1.0 - p_j
-        np.multiply(none, p_j, out=one[t * m : (t + 1) * m])
-        none *= 1.0 - p_j
-    return _exact_sum(one, np)
+    return _exact_sum(_winning_weights(seq.p, k, np), np)
 
 
-def _exact_sum(w, np) -> float:
-    """Correctly rounded sum of the nonnegative finite doubles in ``w``:
-    the bits math.fsum returns, +0.0 for a zero sum included.
+def _winning_weights(p, k: int, np):
+    """Yield the weights of the outcomes with one success in the window
+    [k, n], in slices of at most 2^16 (one array, rewritten in place for
+    each slice).
 
-    np.frexp writes each weight as m * 2^e with m in [0.5, 1).  Adding
-    and removing 2^25 rounds m to hi, a multiple of 2^-27, and leaves
-    lo = m - hi, a multiple of 2^-53 with |lo| <= 2^-28.  Over a slice of
-    2^16 weights the per-exponent sums of hi and of lo (np.bincount) are
-    exact, as in units of their grids they are integers below 2^43.  The
-    buckets join as Python ints in units of 2^-1127 (the exponents are
-    shifted by 1074, so every index is at least 1), and int true
-    division rounds the total once, half to even.
+    The first J prefix trials, J = min(k - 1, 16 - (w - 1).bit_length())
+    for the window width w = n - k + 1, are built once: prefix outcome i
+    has I_j = bit j of i, and each trial doubles the filled part in
+    place, the new upper half being the outcomes with I_j = 1 (written
+    first, from the lower half before it is scaled).  Each setting of the
+    other prefix trials scales those 2^J weights by its factors in trial
+    order, and a (w, 2^J) slice takes the window a column at a time: row
+    t gets p_j at column t, its one success, and 1 - p_j elsewhere.  So
+    every weight is the left-to-right product in trial order.
     """
-    total = 0
-    for i in range(0, w.size, _SUM_SLICE):
-        m, e = np.frexp(w[i : i + _SUM_SLICE])
-        hi = m + 2.0**25
-        hi -= 2.0**25
-        m -= hi
-        e += 1074
-        hi_sums = np.bincount(e, hi)
-        lo_sums = np.bincount(e, m)
-        # a bucket holds a nonzero weight exactly when its hi sum is > 0
-        for b in (hi_sums > 0.0).nonzero()[0].tolist():
-            total += ((int(hi_sums[b] * 2.0**27) << 26) + int(lo_sums[b] * 2.0**53)) << b
-    return total / (1 << 1127)
+    w = len(p) - k + 1
+    j0 = min(k - 1, _SLICE_BITS - (w - 1).bit_length())
+    size = 1 << j0
+    rest = p[j0 : k - 1]
+    # one allocation: the slice's w rows, the 2^J base weights and, when
+    # other prefix trials scale them, a copy of those
+    scratch = np.empty((w + 1 + (len(rest) > 0)) * size)
+    weights = scratch[: w * size]
+    rows = weights.reshape(w, size)
+    base = scratch[w * size : (w + 1) * size]
+    prefix = scratch[(w + 1) * size :] if rest else base
+    base[0] = 1.0
+    for j, p_j in enumerate(p[:j0]):
+        h = 1 << j
+        np.multiply(base[:h], p_j, out=base[h : 2 * h])
+        base[:h] *= 1.0 - p_j
+    # columns[t][r]: the factor of window trial k + t in row r
+    p_window = np.array(p[k - 1 :])
+    columns = np.repeat(1.0 - p_window, w).reshape(w, w)
+    columns.flat[:: w + 1] = p_window
+    columns = columns[:, :, None]
+    for bits in range(1 << len(rest)):
+        scaled = base
+        for i, p_j in enumerate(rest):
+            np.multiply(scaled, p_j if bits >> i & 1 else 1.0 - p_j, out=prefix)
+            scaled = prefix
+        np.multiply(scaled, columns[0], out=rows)
+        for column in columns[1:]:
+            rows *= column
+        yield weights
+
+
+def _exact_sum(slices, np) -> float:
+    """Correctly rounded sum of the nonnegative finite doubles in the
+    float64 arrays of ``slices``, each of fewer than 2^26: the bits
+    math.fsum returns on all of them, +0.0 for a zero sum included.
+
+    The sum is bucketed on the exponent bits (Malcolm, CACM 14, 1971).
+    A weight's top 12 bits, shifted down, are its biased exponent E with
+    the sign bit, so -0.0 lands in bucket 2048.  Masking its low 26
+    significand bits gives hi, and lo = x - hi is exact.  In bucket E,
+    hi is an integer below 2^27 in units of 2^(E-1049) (2^-1048 for the
+    subnormals, E = 0) and lo one below 2^26 in units of 2^26 times
+    less, so each array's per-bucket sums of hi and of lo (np.bincount)
+    are exact.  Those bucket totals are doubles whose exact sum is that
+    of the weights, and one math.fsum over the nonzero ones rounds it
+    once, half to even.
+    """
+    sums = []
+    scratch = np.empty((2, 0), np.uint64)  # reused by each slice that fits
+    for x in slices:
+        bits = x.view(np.uint64)
+        if scratch.shape[1] < bits.size:
+            scratch = np.empty((2, bits.size), np.uint64)
+        exponent, part = scratch[:, : bits.size]
+        np.right_shift(bits, 52, out=exponent)
+        np.bitwise_and(bits, _HI_MASK, out=part)
+        exponent = exponent.view(np.int64)
+        part = part.view(np.float64)
+        sums.append(np.bincount(exponent, part))
+        np.subtract(x, part, out=part)
+        sums.append(np.bincount(exponent, part))
+    sums = np.concatenate(sums)
+    return math.fsum(sums[sums > 0.0].tolist())
 
 
 def monte_carlo(

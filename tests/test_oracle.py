@@ -213,7 +213,8 @@ class TestExhaustive:
             assert exhaustive_value(seq, k).hex() == full_enumeration_value(seq, k).hex()
 
     def test_memory_worst_case_window(self):
-        # k = n = 20: all 2^19 prefixes, each with its one window success
+        # k = n = 20: all 2^19 prefixes, each with its one window success,
+        # streamed through slices of 2^16
         seq = validate_probabilities(ORACLE_FAMILIES_20["s_equals_n"])
         assert threshold(seq).s == 20
         tracemalloc.start()
@@ -222,7 +223,34 @@ class TestExhaustive:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 4 * 2**20
+
+    def test_memory_two_column_window(self):
+        # k = 19: 2^18 prefixes, each with two places for the window success
+        seq = validate_probabilities(ORACLE_FAMILIES_20["s_equals_n"])
+        tracemalloc.start()
+        try:
+            exhaustive_value(seq, 19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("k", [17, 18, 19, 20])
+    @pytest.mark.parametrize("turn", range(4))
+    def test_bits_at_the_slice_seams(self, k, turn):
+        # n = 20: a slice holds the 2^J prefixes built once (J = 14, 14, 15
+        # and 16 for k = 17..20), scaled by one setting of the prefix
+        # trials J+1..k-1 past them, times the window's 20 - k + 1 columns.
+        # The extreme values take turns at the first and the last of those
+        # prefix trials and at the first and the last window trial.
+        extremes = [-0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+        j = {17: 14, 18: 14, 19: 15, 20: 16}[k]
+        probs = np.random.default_rng(k).random(20).tolist()
+        for i, place in enumerate([j, k - 2, k - 1, 19]):
+            probs[place] = extremes[(turn + i) % 4]
+        seq = validate_probabilities(probs)
+        assert exhaustive_value(seq, k).hex() == full_enumeration_value(seq, k).hex()
 
     def test_memory_widest_window(self):
         # k = 1: no prefix, and one outcome per place of the one success
@@ -252,8 +280,13 @@ class TestExhaustive:
             exhaustive_value(seq, k)
 
 
+def _slices(w):
+    """``w`` in consecutive slices of 2^16, as exhaustive_value streams it."""
+    return [w[i : i + 2**16] for i in range(0, w.size, 2**16)]
+
+
 class TestExactSum:
-    """``oracle._exact_sum`` returns the bits of math.fsum."""
+    """``oracle._exact_sum`` returns the bits of math.fsum on its slices."""
 
     @pytest.mark.parametrize(
         "weights, want",
@@ -272,7 +305,7 @@ class TestExactSum:
     def test_rounds_once_half_to_even(self, weights, want):
         # the exact sum is rounded once: a tie goes to the even neighbour,
         # and the smallest subnormal past it breaks the tie; a zero sum is +0.0
-        got = _exact_sum(np.array(weights), np)
+        got = _exact_sum([np.array(weights)], np)
         assert got.hex() == want.hex() == math.fsum(weights).hex()
 
     @pytest.mark.parametrize("size", [2**16 + 1, 3 * 2**16])
@@ -281,14 +314,39 @@ class TestExactSum:
         # them in order rounds each 2^-53 away, the exact sum keeps them all
         ties = np.full(size, 2.0**-53)
         ties[0] = 1.0
-        assert _exact_sum(ties, np) == 1.0 + (size - 1) * 2.0**-53 == math.fsum(ties.tolist())
+        assert _exact_sum(_slices(ties), np) == 1.0 + (size - 1) * 2.0**-53 == math.fsum(ties.tolist())
         assert float(np.cumsum(ties)[-1]) == 1.0
         # wide exponents and the largest mantissas, in every slice
         rng = np.random.default_rng(size)
         w = rng.random(size) ** rng.integers(1, 400, size)
         w[::7] = 1.0 - 2.0**-53
         w[::11] = 5e-324
-        assert _exact_sum(w, np).hex() == math.fsum(w.tolist()).hex()
+        assert _exact_sum(_slices(w), np).hex() == math.fsum(w.tolist()).hex()
+
+    def test_low_half_all_ones(self):
+        # the low 26 significand bits all set: hi drops all of them and lo
+        # keeps all of them, in each bucket
+        x = 1.0 + (2**26 - 1) * 2.0**-52
+        weights = [x, x * 2.0**-30, x * 2.0**-1030, x, 2.0**-53, 0.5 * x]
+        assert x.hex() == "0x1.0000003ffffffp+0"
+        got = _exact_sum([np.array(weights)], np)
+        assert got.hex() == math.fsum(weights).hex()
+
+    def test_subnormals_below_the_hi_grid(self):
+        # below 2^-1048 a subnormal has only its low 26 significand bits, so
+        # hi is 0 and lo is the whole weight; 1e-310 lies above that grid
+        weights = [2.0**-1050, 3 * 5e-324, (2**20 + 1) * 5e-324, 2.0**-1048 - 5e-324, 1e-310]
+        got = _exact_sum([np.array(weights)], np)
+        assert got.hex() == math.fsum(weights).hex()
+        assert _exact_sum([np.array(weights[:4])], np).hex() == math.fsum(weights[:4]).hex()
+
+    def test_negative_zero_in_a_long_array(self):
+        # -0.0 has the sign bit set, so its bucket is 2048; it adds nothing
+        w = np.random.default_rng(3).random(2**16 + 1) ** 3
+        w[[0, 4097, 2**16]] = -0.0
+        want = math.fsum(w.tolist())
+        assert _exact_sum([w], np).hex() == _exact_sum(_slices(w), np).hex() == want.hex()
+        assert _exact_sum([np.full(2**16 + 1, -0.0)], np).hex() == (0.0).hex()
 
     @settings(max_examples=300)
     @given(
@@ -302,7 +360,7 @@ class TestExactSum:
         )
     )
     def test_matches_fsum_on_nonnegative_floats(self, weights):
-        got = _exact_sum(np.array(weights, dtype=float), np)
+        got = _exact_sum([np.array(weights, dtype=float)], np)
         assert got.hex() == math.fsum(weights).hex()
 
 
