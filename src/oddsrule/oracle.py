@@ -208,13 +208,13 @@ def _winning_weights(p, k: int, np):
     j0 = min(k - 1, _SLICE_BITS - (w - 1).bit_length())
     size = 1 << j0
     rest = p[j0 : k - 1]
-    # one allocation: the slice's w rows, the 2^J base weights and, when
-    # other prefix trials scale them, a copy of those
-    scratch = np.empty((w + 1 + (len(rest) > 0)) * size)
+    # one allocation for the call, not one per slice (fresh blocks were
+    # returned to the OS and faulted in again for every slice): the
+    # slice's w rows, the 2^J base weights and their scaled copy
+    scratch = np.empty((w + 2) * size)
     weights = scratch[: w * size]
     rows = weights.reshape(w, size)
-    base = scratch[w * size : (w + 1) * size]
-    prefix = scratch[(w + 1) * size :] if rest else base
+    base, prefix = scratch[w * size :].reshape(2, size)
     base[0] = 1.0
     for j, p_j in enumerate(p[:j0]):
         h = 1 << j
