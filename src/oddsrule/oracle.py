@@ -210,11 +210,13 @@ def _winning_weights(p, k: int, np):
     rest = p[j0 : k - 1]
     # one allocation for the call, not one per slice (fresh blocks were
     # returned to the OS and faulted in again for every slice): the
-    # slice's w rows, the 2^J base weights and their scaled copy
-    scratch = np.empty((w + 2) * size)
+    # slice's w rows, the 2^J base weights and, when other prefix trials
+    # scale them, a copy of those
+    scratch = np.empty((w + 1 + (len(rest) > 0)) * size)
     weights = scratch[: w * size]
     rows = weights.reshape(w, size)
-    base, prefix = scratch[w * size :].reshape(2, size)
+    base = scratch[w * size : (w + 1) * size]
+    prefix = scratch[(w + 1) * size :] if rest else base
     base[0] = 1.0
     for j, p_j in enumerate(p[:j0]):
         h = 1 << j
