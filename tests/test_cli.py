@@ -884,6 +884,11 @@ S_EQUALS_N_20 = ",".join([repr(j / 40) for j in range(1, 20)] + ["0.75"])
 NEAR_TIE_12 = ",".join(["0.5"] + [repr(1 / 12)] * 11)
 # 25 entries: too many to enumerate, so the text says "skipped (n > 20)"
 N25 = ",".join(["0.2"] * 25)
+# a finite tail off the grid's guard both ways: a subnormal odds, and 1e-300
+# next to 0.4 and 0.5 (exponents spread past 970 bits), with p = 1 first and
+# -0.0 last; 1e-300 breaks the tie of 1 + 2**-53 upwards, so R_4 prints as
+# 1.0000000000000002 where a float running sum would give 1
+OFF_GRID_TAIL = ",".join(map(repr, [1.0, 5e-324, 0.4, 1e-300, 0.5, 2.0**-53 - 2.0**-106, -0.0]))
 
 
 @pytest.mark.parametrize(
@@ -909,6 +914,7 @@ N25 = ",".join(["0.2"] * 25)
         ),
         ("version.txt", ["--version"]),
         ("analyze_near_tie_grid.json", ["analyze", "--format", "json", NEAR_TIE_12]),
+        ("analyze_off_grid_tail.json", ["analyze", "--format", "json", OFF_GRID_TAIL]),
         ("oracle_check_secretary_20.txt", ["oracle-check", "--secretary", "20"]),
         ("oracle_check_n25.txt", ["oracle-check", N25]),
         ("simulate_inline_1000.txt", ["simulate", "0,0,0.5,0,0", "--trials", "1000", "--seed", "7"]),
