@@ -134,22 +134,25 @@ class OddsSequence:
     at the threshold, which they take from ``math.fsum`` (correctly
     rounded, so the same bits as ``R``).
 
-    The finite sums of ``R`` are exact integer sums on one binary grid
-    when the finite odds allow it.  Let ``e_min`` and ``e_max`` be the
-    ``math.frexp`` exponents of the smallest nonzero and the largest
-    finite odds, and ``K = 53 - e_min``:
+    The finite sums of ``R`` are exact integer sums on one binary grid.
+    Let ``e_min`` and ``e_max`` be the ``math.frexp`` exponents of the
+    smallest nonzero and the largest finite odds, and ``K = 53 - e_min``:
+    every finite odds, subnormal or not, is a multiple of
+    ``2**(e_min - 53)``, so it is an integer in units of ``2**-K``.  A guard
+    chooses only how the odds are scaled and the totals rounded:
 
-    * if ``e_min >= -1021`` no odds is subnormal, so each is a multiple of
-      ``2**(e_min - 53)`` and ``int(ldexp(x, K))`` is exact;
-    * if also ``e_max - e_min + L.bit_length() <= 970`` for the ``L``
-      finite entries, every scaled odds and every running total is below
-      ``2**1023``;
-    * then ``ldexp(float(total), -K)`` is the correctly rounded
-      ``total / 2**K``: ``float(int)`` rounds half to even, and scaling a
-      normal result by a power of two is exact.
-
-    Other inputs take a per-entry loop that keeps the sum in units of the
-    largest denominator seen so far; both give the same bits.
+    * if ``e_min >= -1021`` (no odds is subnormal) and ``e_max - e_min +
+      L.bit_length() <= 970`` for the ``L`` finite entries, every scaled
+      odds and every running total is below ``2**1023``, so
+      ``int(ldexp(x, K))`` is exact and ``ldexp(float(total), -K)`` is the
+      correctly rounded ``total / 2**K``: ``float(int)`` rounds half to
+      even, and scaling a normal result by a power of two is exact;
+    * otherwise each odds's 53-bit ``frexp`` mantissa is shifted onto the
+      grid, and int true division by ``2**(K - 900)`` rounds each total
+      correctly to a double below ``2**1017``.  Scaling that by
+      ``2**-900`` is exact, also for a subnormal sum: a multiple of
+      ``2**-1074`` below ``2**-1022`` has at most 52 bits, so its division
+      was exact too.
 
     Instances are immutable: assigning or deleting an attribute raises
     AttributeError.  ``R``, the threshold and V_n are memos filled on
@@ -198,13 +201,10 @@ class OddsSequence:
         # Exact sums from the right, each rounded once: the bits of
         # _suffix_sum, on which the threshold compares R_l >= 1.  A sure
         # success's +inf makes its own and every earlier sum inf; the
-        # finite tail after the last one is summed on the grid when the
-        # guard in _grid_suffix_sums holds, and by the loop otherwise.
+        # finite tail after the last one is summed on one exact grid.
         odds = self.r
         stop = len(odds) - odds[::-1].index(math.inf) if math.inf in odds else 0
-        sums = _grid_suffix_sums(odds, stop)
-        if sums is None:
-            sums = _loop_suffix_sums(odds, stop)
+        sums = _suffix_sums(odds, stop)
         sums[:0] = [math.inf] * stop
         return tuple(sums)
 
@@ -292,40 +292,23 @@ def _suffix_sum(odds: tuple[float, ...], l: int) -> float:
     return math.fsum(odds[l - 1 :]) + 0.0
 
 
-def _grid_suffix_sums(odds: tuple[float, ...], stop: int) -> list[float] | None:
-    # Suffix sums of the finite tail odds[stop:] as exact integers in units
-    # of 2**-K, in C-level passes; None when a subnormal or too wide a
-    # range of odds puts the tail outside the guard.  The tail is read in
-    # place and the running totals are streamed: a list of them would hold
-    # n big ints at once.
+def _suffix_sums(odds: tuple[float, ...], stop: int) -> list[float]:
+    # Suffix sums of the finite tail odds[stop:]: exact integer totals on
+    # the grid that OddsSequence describes, accumulated from the back and
+    # each rounded once.  The tail is read in place and the totals are
+    # streamed: a list of them would hold n big ints at once.
     size = len(odds) - stop
     e_min = math.frexp(min(filter(None, islice(odds, stop, None)), default=0.0))[1]
     e_max = math.frexp(max(islice(odds, stop, None), default=0.0))[1]
-    if e_min < -1021 or e_max - e_min + size.bit_length() > 970:
-        return None
-    K = 53 - e_min
-    scaled = map(int, map(math.ldexp, islice(reversed(odds), size), repeat(K)))
-    sums = list(map(math.ldexp, map(float, accumulate(scaled)), repeat(-K)))
+    K, tail = 53 - e_min, islice(reversed(odds), size)
+    if e_min >= -1021 and e_max - e_min + size.bit_length() <= 970:
+        totals = accumulate(map(int, map(math.ldexp, tail, repeat(K))))
+        sums = list(map(math.ldexp, map(float, totals), repeat(-K)))
+    else:
+        totals = accumulate(int(m * 2.0**53) << e - e_min for m, e in map(math.frexp, tail))
+        rounded = map(operator.truediv, totals, repeat(1 << K - 900))
+        sums = list(map(math.ldexp, rounded, repeat(-900)))
     sums.reverse()
-    return sums
-
-
-def _loop_suffix_sums(odds: tuple[float, ...], stop: int) -> list[float]:
-    # Suffix sums of the finite tail odds[stop:], entry by entry.  A finite
-    # double is m / d with d a power of two, so the running sum is the
-    # exact integer ``total`` in units of 1/D, D the largest d seen so
-    # far; a larger d rescales ``total`` by a shift, and int / int true
-    # division rounds correctly.
-    sums = [0.0] * (len(odds) - stop)
-    total, D, k = 0, 1, 1  # k = D.bit_length()
-    for j in range(len(sums) - 1, -1, -1):
-        m, d = odds[stop + j].as_integer_ratio()
-        e = d.bit_length()
-        if e > k:
-            total <<= e - k
-            D, k = d, e
-        total += m << (k - e)
-        sums[j] = total / D
     return sums
 
 

@@ -48,9 +48,9 @@ wide_probabilities = st.one_of(
 )
 wide_prob_lists = st.lists(wide_probabilities, min_size=1, max_size=30)
 
-# the inputs the exact grid of core._grid_suffix_sums takes: no
-# subnormal, exponents within about 2**40 of one another, with zeros,
-# -0.0 and sure successes mixed in
+# inputs inside the guard of core._suffix_sums, so that its C-level float
+# passes scale and round: no subnormal, exponents within about 2**40 of one
+# another, with zeros, -0.0 and sure successes mixed in
 grid_prob_lists = st.builds(
     lambda scale, xs: [x if x in (0.0, 1.0) else math.ldexp(x, scale) for x in xs],
     st.integers(min_value=-980, max_value=0),
@@ -64,10 +64,10 @@ grid_prob_lists = st.builds(
     ),
 )
 
-# inputs the grid's guard refuses, so that R comes from
-# core._loop_suffix_sums: a subnormal odds, or an odds at most 2**-972
-# next to one of at least 1/3, exponents spread past 970
-loop_prob_lists = st.tuples(
+# inputs outside that guard, so that core._suffix_sums splits each odds with
+# math.frexp and rounds by int division: a subnormal odds, or an odds at
+# most 2**-972 next to one of at least 1/3, exponents spread past 970
+frexp_prob_lists = st.tuples(
     st.one_of(
         st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
         st.floats(min_value=2.0**-1022, max_value=2.0**-972),
@@ -76,7 +76,7 @@ loop_prob_lists = st.tuples(
     st.lists(st.one_of(probabilities, st.sampled_from([0.0, -0.0])), max_size=30),
 ).flatmap(lambda parts: st.permutations([parts[0], parts[1], *parts[2]]))
 
-# (probs, summed on the grid): any length, from one entry on, and both
+# (probs, inside the guard): any length, from one entry on, and both
 # sides of each guard condition: e_min = -1021 (smallest normal) against
 # -1022, and e_max - e_min + L.bit_length() at 970 against 971 (L = 12)
 ROUTING_EDGES = [
@@ -148,32 +148,45 @@ def test_suffix_sums_correctly_rounded(probs):
     assert_routes_agree(probs)
 
 
+def _suffix_sums_and_frexp_calls(seq):
+    # seq.R, built on first read, and the number of math.frexp calls that
+    # built it: two for e_min and e_max, and outside the guard one more for
+    # each finite tail odds
+    with mock.patch.object(math, "frexp", wraps=math.frexp) as frexp:
+        R = seq.R
+    return R, frexp.call_count
+
+
 @pytest.mark.parametrize("probs, grid", ROUTING_EDGES)
-def test_suffix_sums_routing(probs, grid, monkeypatch):
-    taken = []
-
-    def spy(odds, stop):
-        sums = real(odds, stop)
-        taken.append(sums is not None)
-        return sums
-
-    real = core._grid_suffix_sums
-    monkeypatch.setattr(core, "_grid_suffix_sums", spy)
+def test_suffix_sums_routing(probs, grid):
     seq = validate_probabilities(probs)
-    R = seq.R  # built on first read
-    assert any(taken) == grid
+    R, frexp_calls = _suffix_sums_and_frexp_calls(seq)
+    assert frexp_calls == (2 if grid else 2 + seq.n)
     assert [x.hex() for x in R] == [x.hex() for x in exact_suffix_sums(seq.r)]
 
 
-@given(loop_prob_lists)
+# n = 2000 outside the guard: subnormal odds mixed with ordinary ones, all
+# subnormal odds, and normal odds whose exponents spread past 970, with a
+# tail of 1000 tiny ones whose own sums are reported
+FREXP_LARGE = [
+    [math.ldexp(j + 1, -1074) if j % 3 == 0 else 1 / (j + 3) for j in range(2000)],
+    [math.ldexp(j * 7919 % 2**52 + 1, -1074) for j in range(2000)],
+    [0.3 + j / 10**5 if j % 2 else 2.0**-1000 * (1 + j / 4096) for j in range(1000)]
+    + [2.0**-1000 * (1 + j / 4096) for j in range(1000)],
+]
+
+
+@given(frexp_prob_lists)
 @example([5e-324])
 @example([2.0**-972, 0.25])
 @example([0.5, 2.0**-1022 - 2.0**-1074, 0.0, 1e-300])
-def test_loop_suffix_sums_correctly_rounded(probs):
+@example(FREXP_LARGE[0])
+@example(FREXP_LARGE[1])
+@example(FREXP_LARGE[2])
+def test_frexp_suffix_sums_correctly_rounded(probs):
     seq = validate_probabilities(probs)
-    with mock.patch.object(core, "_loop_suffix_sums", wraps=core._loop_suffix_sums) as loop:
-        R = seq.R
-    assert loop.call_count == 1
+    R, frexp_calls = _suffix_sums_and_frexp_calls(seq)
+    assert frexp_calls == 2 + seq.n
     assert [x.hex() for x in R] == [x.hex() for x in exact_suffix_sums(seq.r)]
 
 
@@ -566,7 +579,7 @@ def test_bound_report_never_violates(probs):
 
 
 @given(
-    st.one_of(prob_lists, wide_prob_lists, grid_prob_lists, loop_prob_lists, near_ties, tiny_heads)
+    st.one_of(prob_lists, wide_prob_lists, grid_prob_lists, frexp_prob_lists, near_ties, tiny_heads)
 )
 @example([0.5238095238095238] + [0.0] * 10)  # R_1 = 1.0 + 1.0/10, above 11/10
 def test_bound_report_bits_equal_the_public_bounds(probs):
