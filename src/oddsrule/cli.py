@@ -25,7 +25,9 @@ import os
 import sys
 
 from . import __version__, bounds, core, extremal
-from .errors import InconsistentInput, InternalBoundViolation, InvalidArgument, OddsRuleError
+from .errors import (
+    InconsistentInput, InternalBoundViolation, InvalidArgument, OddsRuleError, TooLarge,
+)
 
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
@@ -352,6 +354,9 @@ def _parse_int_range(spec: str, name: str) -> list[int]:
         return [int(spec)]
     except ValueError as exc:
         raise UsageError(f"bad {name} range {spec!r}: {exc}")
+    except OverflowError:
+        # range() takes any bounds, but list() refuses a length no list reaches
+        raise TooLarge(f"{name} range {spec!r} holds more than sys.maxsize values") from None
 
 
 def sweep(args: argparse.Namespace) -> None:

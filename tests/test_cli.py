@@ -658,6 +658,17 @@ def test_a_size_no_list_reaches_exits_2(runner, args, bits):
     assert res.stderr == f"error: n is an integer of {bits} bits; need |n| < sys.maxsize\n"
 
 
+# a sweep range of 10**21 values: range() takes its bounds, but no list
+# holds that many values, so it is refused (TooLarge) before any row is made
+@pytest.mark.parametrize("option", ["--n", "--s"])
+def test_a_sweep_range_no_list_holds_exits_2(runner, option):
+    specs = {"--n": "5", "--s": "1", option: f"1:{10**21}"}
+    res = invoke(runner, "sweep", "--n", specs["--n"], "--s", specs["--s"], "--rs", "1", "-o", "-")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {option} range '1:{10**21}' holds more than sys.maxsize values\n"
+
+
 # trials = 2**63: numpy's binomial takes no count that large, so the library
 # refuses it (TooLarge) before drawing
 @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
