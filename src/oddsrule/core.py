@@ -148,11 +148,12 @@ class OddsSequence:
       correctly rounded ``total / 2**K``: ``float(int)`` rounds half to
       even, and scaling a normal result by a power of two is exact;
     * otherwise each odds's 53-bit ``frexp`` mantissa is shifted onto the
-      grid, and int true division by ``2**(K - 900)`` rounds each total
-      correctly to a double below ``2**1017``.  Scaling that by
-      ``2**-900`` is exact, also for a subnormal sum: a multiple of
-      ``2**-1074`` below ``2**-1022`` has at most 52 bits, so its division
-      was exact too.
+      grid, and int true division by ``2**(K - 900)`` (a shorter divisor
+      than ``2**K``, so a faster division) rounds each total correctly to
+      a double below ``2**1017``, as a sum is below ``2**117``.  Scaling
+      that by ``2**-900`` is exact, also for a subnormal sum: a multiple
+      of ``2**-1074`` below ``2**-1022`` has at most 52 bits, so its
+      division was exact too.
 
     Instances are immutable: assigning or deleting an attribute raises
     AttributeError.  ``R``, the threshold and V_n are memos filled on
