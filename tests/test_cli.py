@@ -925,12 +925,12 @@ OFF_GRID_TAIL = ",".join(map(repr, [1.0, 5e-324, 0.4, 1e-300, 0.5, 2.0**-53 - 2.
         ),
         ("version.txt", ["--version"]),
         ("analyze_near_tie_grid.json", ["analyze", "--format", "json", NEAR_TIE_12]),
-        ("analyze_off_grid_tail.json", ["analyze", "--format", "json", OFF_GRID_TAIL]),
         ("oracle_check_secretary_20.txt", ["oracle-check", "--secretary", "20"]),
         ("oracle_check_n25.txt", ["oracle-check", N25]),
         ("simulate_inline_1000.txt", ["simulate", "0,0,0.5,0,0", "--trials", "1000", "--seed", "7"]),
         # case 1 at R_1 = 0: the generator refuses it, so v_n is left empty
         ("sweep_case1_rs_0.csv", ["sweep", "--n", "4", "--s", "1", "--rs", "0", "-o", "-"]),
+        ("analyze_off_grid_tail.json", ["analyze", "--format", "json", OFF_GRID_TAIL]),
     ],
 )
 def test_stdout_matches_golden_file(runner, name, args):
