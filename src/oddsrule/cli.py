@@ -35,6 +35,10 @@ EXIT_VERIFY = 3
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 42
 
+# list elements formatted per piece of output, so that no string of a
+# whole length-n list is built
+CHUNK = 4096
+
 
 def fmt17(x: float) -> str:
     """17 significant digits: enough to reproduce the exact double."""
@@ -60,28 +64,56 @@ def render_json(doc, indent: int = 0) -> str:
     raises.  Non-finite floats render as the strings "inf", "-inf" and
     "nan".
     """
+    return "".join(_json_pieces(doc, indent))
+
+
+def _json_pieces(doc, indent: int = 0):
+    """Yield the text of render_json(doc, indent) in pieces: a list comes
+    CHUNK elements a piece."""
     pad = "  " * indent
     if isinstance(doc, dict):
         if not doc:
-            return "{}"
-        body = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}'
-            for k, v in doc.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(doc, (list, tuple)):
+            yield "{}"
+            return
+        lead = "{\n"
+        for k, v in doc.items():
+            yield f'{lead}{pad}  {json.dumps(str(k))}: '
+            yield from _json_pieces(v, indent + 1)
+            lead = ",\n"
+        yield "\n" + pad + "}"
+    elif isinstance(doc, (list, tuple)):
         if not doc:
-            return "[]"
-        # one C-level % pass over the whole list; float.__float__ is the
-        # TypeError guard: it takes no bool, int, str or None
+            yield "[]"
+            return
         sep = f",\n{pad}  "
-        body = sep.join(["%.17g"] * len(doc)) % tuple(map(float.__float__, doc))
-        if "n" in body:  # "inf", "-inf" or "nan": quote them as JSON strings
-            body = sep.join([t if t[-1].isdigit() else f'"{t}"' for t in body.split(sep)])
-        return f"[\n{pad}  {body}\n{pad}]"
-    if isinstance(doc, float):
-        return fmt17(doc) if math.isfinite(doc) else f'"{doc}"'
-    return json.dumps(doc)  # bool, None, int and str; TypeError for the rest
+        lead = f"[\n{pad}  "
+        for i in range(0, len(doc), CHUNK):
+            chunk = doc[i:i + CHUNK]
+            # one C-level % pass over the chunk; float.__float__ is the
+            # TypeError guard: it takes no bool, int, str or None
+            body = sep.join(["%.17g"] * len(chunk)) % tuple(map(float.__float__, chunk))
+            if "n" in body:  # "inf", "-inf" or "nan": quote them as JSON strings
+                body = sep.join([t if t[-1].isdigit() else f'"{t}"' for t in body.split(sep)])
+            yield lead + body
+            lead = sep
+        yield f"\n{pad}]"
+    elif isinstance(doc, float):
+        yield fmt17(doc) if math.isfinite(doc) else f'"{doc}"'
+    else:
+        yield json.dumps(doc)  # bool, None, int and str; TypeError for the rest
+
+
+def _print_json(doc) -> None:
+    """Write render_json(doc) and a newline to stdout.  Short pieces wait
+    for the next list chunk, so that a small document takes one write."""
+    held = []
+    for piece in _json_pieces(doc):
+        held.append(piece)
+        if len(piece) > CHUNK:  # CHUNK floats, or one long string
+            sys.stdout.write("".join(held))
+            held.clear()
+    held.append("\n")
+    sys.stdout.write("".join(held))
 
 
 class UsageError(Exception):
@@ -140,7 +172,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 def _parse_file(path: str) -> list[float]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
@@ -258,11 +290,19 @@ def _analysis_document(seq: core.OddsSequence) -> dict:
     }
 
 
+def _print_list_line(label: str, values) -> None:
+    """Print the line 'label v_1, v_2, ...', CHUNK values a write."""
+    sys.stdout.write(label)
+    for i in range(0, len(values), CHUNK):
+        sys.stdout.write((", " if i else "") + ", ".join(map(fmt_human, values[i:i + CHUNK])))
+    sys.stdout.write("\n")
+
+
 def _print_analysis_text(doc: dict) -> None:
     print(f"n             {doc['n']}")
-    print("p             " + ", ".join(fmt_human(x) for x in doc["p"]))
-    print("odds          " + ", ".join(fmt_human(x) for x in doc["odds"]))
-    print("suffix sums   " + ", ".join(fmt_human(x) for x in doc["suffix_sums"]))
+    _print_list_line("p             ", doc["p"])
+    _print_list_line("odds          ", doc["odds"])
+    _print_list_line("suffix sums   ", doc["suffix_sums"])
     print(f"s             {doc['s']}")
     print(f"R_s           {fmt_human(doc['R_s'])}")
     print(f"boundary      {'yes' if doc['boundary_flag'] else 'no'}")
@@ -296,7 +336,7 @@ def analyze(args: argparse.Namespace) -> None:
     """Threshold, win probability and full bound report for a sequence."""
     doc = _analysis_document(resolve_sequence(args))
     if args.output_format == "json":
-        print(render_json(doc))
+        _print_json(doc)
     else:
         _print_analysis_text(doc)
 
@@ -317,8 +357,8 @@ def oracle_check(args: argparse.Namespace) -> None:
     values, sim, checks = c.values, c.simulation, c.checks
     if args.output_format == "json":
         mc = {"trials": sim.trials, "wins": sim.wins, "std_error": sim.std_error, "seed": sim.seed}
-        print(render_json({"n": seq.n, "s": c.s, "values": values, "monte_carlo": mc,
-                           "checks": checks, "agree": c.agree}))
+        _print_json({"n": seq.n, "s": c.s, "values": values, "monte_carlo": mc,
+                     "checks": checks, "agree": c.agree})
     else:
         print(f"formula V_n            {fmt_human(values['formula'])}")
         print(f"dp optimal             {fmt_human(values['dp'])}"
@@ -447,14 +487,14 @@ def extremal_cmd(args: argparse.Namespace) -> None:
     seq = cfg.seq
     v = core.win_probability(seq, core.threshold(seq)).value
     if args.output_format == "json":
-        print(render_json({
+        _print_json({
             "family": args.family,
             "p": seq.p,
             "target_bound": cfg.target_bound,
             "v_n": v,
             "attainment": cfg.attainment,
             "parameters": {key: x for key, x in cfg.parameters._asdict().items() if x is not None},
-        }))
+        })
     else:
         print(",".join(fmt_prob(x) for x in seq.p))
         print(f"target     {fmt_human(cfg.target_bound)}")
@@ -471,12 +511,12 @@ def simulate(args: argparse.Namespace) -> None:
     exact = oracle.threshold_rule_value(seq, rule_k)
     sim = oracle.monte_carlo(seq, rule_k, args.trials, args.seed)
     if args.output_format == "json":
-        print(render_json({
+        _print_json({
             "n": seq.n,
             "k": rule_k,
             **sim._asdict(),
             "exact": exact,
-        }))
+        })
     else:
         print(f"k          {rule_k}")
         print(f"trials     {sim.trials}")

@@ -156,6 +156,17 @@ class TestAnalyze:
         assert doc["bounds"]["lower"]["case"] == 2
         assert doc["bounds"]["lower"]["equality"] is True
 
+    @pytest.mark.parametrize(
+        "text", ['{"p": [0.2, 0.5, 0.3]}', "0.2\n0.5\n0.3\n"], ids=["json", "lines"]
+    )
+    def test_file_with_a_utf8_bom(self, runner, tmp_path, text):
+        # editors on Windows start UTF-8 files with EF BB BF; the mark is not input
+        path = tmp_path / "probs.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        res = invoke(runner, "analyze", "--file", str(path), "--format", "json")
+        assert (res.exit_code, res.stderr) == (0, "")
+        assert res.stdout == invoke(runner, "analyze", "0.2,0.5,0.3", "--format", "json").stdout
+
     def test_missing_file_exits_2(self, runner, tmp_path):
         res = invoke(runner, "analyze", "--file", str(tmp_path / "nope.txt"))
         assert res.exit_code == 2
@@ -709,6 +720,21 @@ def test_a_secretary_size_memory_cannot_hold_fails_at_once(args):
     assert code == 2
     assert stdio == repr("") + " " + repr("error: not enough memory for this request\n")
     assert max_rss_mib < 256
+
+
+@pytest.mark.parametrize("output_format", ["json", "text"])
+def test_a_pipe_closed_mid_document_exits_1_quietly(output_format):
+    """The reader takes a few bytes of a document of several MB and closes
+    the pipe (`| head -c 16`): a later write fails, and the command exits 1
+    with nothing on stderr."""
+    argv = [sys.executable, "-m", "oddsrule.cli", "analyze", "--format", output_format,
+            "--secretary", "200000"]
+    with subprocess.Popen(argv, env=_probe_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        assert len(child.stdout.read(16)) == 16
+        child.stdout.close()
+        _, stderr = child.communicate(timeout=60)
+    assert (child.returncode, stderr) == (1, b"")
 
 
 @pytest.mark.parametrize(

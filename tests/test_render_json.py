@@ -1,14 +1,17 @@
 """cli.render_json against the element-by-element renderer it replaced."""
 
+import contextlib
+import io
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from cli_runner import CliRunner
 from oddsrule import validate_probabilities
-from oddsrule.cli import _analysis_document, main, render_json
+from oddsrule.cli import CHUNK, _analysis_document, main, render_json
 
 
 def reference_scalar(v) -> str:
@@ -84,6 +87,8 @@ DOCUMENTS = [
             "deeper": {"x": 5e-324, "list": [1 - 2**-53], "s": 2},
         },
     },
+    # a list of more than one piece, non-finite values on both sides of the cut
+    {"p": [0.25] * (CHUNK - 1) + [math.inf, math.nan] + [0.5] * CHUNK + [-math.inf]},
 ]
 
 
@@ -117,3 +122,45 @@ def test_analyze_file_output(tmp_path):
     expected = reference_render(_analysis_document(validate_probabilities(probs)))
     assert res.stdout == expected + "\n"
     assert '"inf"' in res.stdout
+
+
+def test_analyze_file_text_lists(tmp_path):
+    """--format text writes each list line in pieces; the line is the one
+    ", ".join of all n values."""
+    rnd = random.Random(11)
+    probs = [rnd.random() * 0.01 for _ in range(2 * CHUNK + 3)]
+    path = tmp_path / "probs.txt"
+    path.write_text("\n".join(map(repr, probs)), encoding="utf-8")
+    res = CliRunner().invoke(main, ["analyze", "--file", str(path)])
+    assert res.exit_code == 0
+    seq = validate_probabilities(probs)
+    lines = res.stdout.splitlines()
+    for label, values in [("p", probs), ("odds", seq.r), ("suffix sums", seq.R)]:
+        expected = f"{label:<14}" + ", ".join(format(x, ".12g") for x in values)
+        assert expected in lines
+
+
+class _Discard(io.TextIOBase):
+    """A stdout that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("output_format", ["json", "text"])
+def test_render_builds_no_string_of_a_whole_list(tmp_path, output_format):
+    """analyze on a 10^5-entry file peaks under 14 MiB traced, about 10 MiB
+    of it the input and the sequence.  Rendering each list as one string
+    peaked at 32.2 MiB in json and 18.1 MiB in text."""
+    rnd = random.Random(7)
+    path = tmp_path / "probs.json"
+    path.write_text(json.dumps({"p": [rnd.random() * 1e-4 for _ in range(100_000)]}),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            main(["analyze", "--format", output_format, "--file", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
