@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__, bounds, core, extremal
@@ -85,17 +86,10 @@ def _json_pieces(doc, indent: int = 0):
         if not doc:
             yield "[]"
             return
-        sep = f",\n{pad}  "
-        lead = f"[\n{pad}  "
-        for i in range(0, len(doc), CHUNK):
-            chunk = doc[i:i + CHUNK]
-            # one C-level % pass over the chunk; float.__float__ is the
-            # TypeError guard: it takes no bool, int, str or None
-            body = sep.join(["%.17g"] * len(chunk)) % tuple(map(float.__float__, chunk))
-            if "n" in body:  # "inf", "-inf" or "nan": quote them as JSON strings
-                body = sep.join([t if t[-1].isdigit() else f'"{t}"' for t in body.split(sep)])
-            yield lead + body
-            lead = sep
+        yield f"[\n{pad}  "
+        for body in _list_pieces(doc, "%.17g", f",\n{pad}  "):
+            # "inf", "-inf" and "nan" as JSON strings; a finite value has no "n"
+            yield re.sub("-inf|inf|nan", r'"\g<0>"', body) if "n" in body else body
         yield f"\n{pad}]"
     elif isinstance(doc, float):
         yield fmt17(doc) if math.isfinite(doc) else f'"{doc}"'
@@ -103,17 +97,21 @@ def _json_pieces(doc, indent: int = 0):
         yield json.dumps(doc)  # bool, None, int and str; TypeError for the rest
 
 
+def _list_pieces(values, spec: str, sep: str):
+    """Yield sep.join(spec % x for x in values), CHUNK values a piece, each
+    piece from one C-level % pass.  float.__float__ is the TypeError guard:
+    it takes no bool, int, str or None."""
+    lead = ""
+    for i in range(0, len(values), CHUNK):
+        chunk = values[i:i + CHUNK]
+        yield lead + sep.join([spec] * len(chunk)) % tuple(map(float.__float__, chunk))
+        lead = sep
+
+
 def _print_json(doc) -> None:
-    """Write render_json(doc) and a newline to stdout.  Short pieces wait
-    for the next list chunk, so that a small document takes one write."""
-    held = []
-    for piece in _json_pieces(doc):
-        held.append(piece)
-        if len(piece) > CHUNK:  # CHUNK floats, or one long string
-            sys.stdout.write("".join(held))
-            held.clear()
-    held.append("\n")
-    sys.stdout.write("".join(held))
+    """Write render_json(doc) and a newline to stdout, piece by piece."""
+    sys.stdout.writelines(_json_pieces(doc))
+    sys.stdout.write("\n")
 
 
 class UsageError(Exception):
@@ -290,19 +288,12 @@ def _analysis_document(seq: core.OddsSequence) -> dict:
     }
 
 
-def _print_list_line(label: str, values) -> None:
-    """Print the line 'label v_1, v_2, ...', CHUNK values a write."""
-    sys.stdout.write(label)
-    for i in range(0, len(values), CHUNK):
-        sys.stdout.write((", " if i else "") + ", ".join(map(fmt_human, values[i:i + CHUNK])))
-    sys.stdout.write("\n")
-
-
 def _print_analysis_text(doc: dict) -> None:
     print(f"n             {doc['n']}")
-    _print_list_line("p             ", doc["p"])
-    _print_list_line("odds          ", doc["odds"])
-    _print_list_line("suffix sums   ", doc["suffix_sums"])
+    for label, key in (("p", "p"), ("odds", "odds"), ("suffix sums", "suffix_sums")):
+        sys.stdout.write(f"{label:<14}")
+        sys.stdout.writelines(_list_pieces(doc[key], "%.12g", ", "))
+        sys.stdout.write("\n")
     print(f"s             {doc['s']}")
     print(f"R_s           {fmt_human(doc['R_s'])}")
     print(f"boundary      {'yes' if doc['boundary_flag'] else 'no'}")
@@ -496,7 +487,9 @@ def extremal_cmd(args: argparse.Namespace) -> None:
             "parameters": {key: x for key, x in cfg.parameters._asdict().items() if x is not None},
         })
     else:
-        print(",".join(fmt_prob(x) for x in seq.p))
+        for i in range(0, seq.n, CHUNK):
+            sys.stdout.write(("," if i else "") + ",".join(map(fmt_prob, seq.p[i:i + CHUNK])))
+        print()
         print(f"target     {fmt_human(cfg.target_bound)}")
         print(f"v_n        {fmt_human(v)}")
         print(f"attainment {cfg.attainment}")

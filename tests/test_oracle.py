@@ -520,7 +520,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(
         "probs, trials",
-        [(secretary_sequence(1_000_000).p, 100_000), ([0.1, 0.3, 0.2, 0.25, 0.4], 10_000_000)],
+        [(secretary_sequence(250_000).p, 100_000), ([0.1, 0.3, 0.2, 0.25, 0.4], 10_000_000)],
         ids=["wide_window", "many_trials"],
     )
     def test_scratch_memory_is_constant(self, probs, trials):

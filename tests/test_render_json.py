@@ -129,6 +129,9 @@ def test_analyze_file_text_lists(tmp_path):
     ", ".join of all n values."""
     rnd = random.Random(11)
     probs = [rnd.random() * 0.01 for _ in range(2 * CHUNK + 3)]
+    # odds 0 and inf on both sides of the first cut, suffix sums inf up to it
+    probs[CHUNK - 2:CHUNK + 1] = [0.0, 0.0, 1.0]
+    probs[2 * CHUNK:2 * CHUNK + 2] = [0.0, 0.0]
     path = tmp_path / "probs.txt"
     path.write_text("\n".join(map(repr, probs)), encoding="utf-8")
     res = CliRunner().invoke(main, ["analyze", "--file", str(path)])
@@ -138,6 +141,7 @@ def test_analyze_file_text_lists(tmp_path):
     for label, values in [("p", probs), ("odds", seq.r), ("suffix sums", seq.R)]:
         expected = f"{label:<14}" + ", ".join(format(x, ".12g") for x in values)
         assert expected in lines
+    assert "inf, inf" in res.stdout and "0, inf" in res.stdout
 
 
 class _Discard(io.TextIOBase):
@@ -147,20 +151,31 @@ class _Discard(io.TextIOBase):
         return len(text)
 
 
-@pytest.mark.parametrize("output_format", ["json", "text"])
-def test_render_builds_no_string_of_a_whole_list(tmp_path, output_format):
+@pytest.mark.parametrize(
+    "argv, limit_mib",
+    [
+        (["analyze", "--format", "json", "--file"], 14),
+        (["analyze", "--format", "text", "--file"], 14),
+        (["extremal", "case1", "--n", "100000", "--rs", "0.5"], 8),
+    ],
+    ids=["json", "text", "extremal_text"],
+)
+def test_render_builds_no_string_of_a_whole_list(tmp_path, argv, limit_mib):
     """analyze on a 10^5-entry file peaks under 14 MiB traced, about 10 MiB
-    of it the input and the sequence.  Rendering each list as one string
-    peaked at 32.2 MiB in json and 18.1 MiB in text."""
-    rnd = random.Random(7)
-    path = tmp_path / "probs.json"
-    path.write_text(json.dumps({"p": [rnd.random() * 1e-4 for _ in range(100_000)]}),
-                    encoding="utf-8")
+    of it the input and the sequence; rendering each list as one string
+    peaked at 32.2 MiB in json and 18.1 MiB in text.  extremal's 10^5-entry
+    p line peaks under 8 MiB; as one string it peaked at 13.6 MiB."""
+    if argv[-1] == "--file":
+        rnd = random.Random(7)
+        path = tmp_path / "probs.json"
+        path.write_text(json.dumps({"p": [rnd.random() * 1e-4 for _ in range(100_000)]}),
+                        encoding="utf-8")
+        argv = argv + [str(path)]
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(_Discard()):
-            main(["analyze", "--format", output_format, "--file", str(path)])
+            main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * 2**20
+    assert peak < limit_mib * 2**20
