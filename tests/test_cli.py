@@ -957,6 +957,12 @@ OFF_GRID_TAIL = ",".join(map(repr, [1.0, 5e-324, 0.4, 1e-300, 0.5, 2.0**-53 - 2.
         # case 1 at R_1 = 0: the generator refuses it, so v_n is left empty
         ("sweep_case1_rs_0.csv", ["sweep", "--n", "4", "--s", "1", "--rs", "0", "-o", "-"]),
         ("analyze_off_grid_tail.json", ["analyze", "--format", "json", OFF_GRID_TAIL]),
+        # every v_n branch: case 1 and case 3 filled, case 2 filled at R_s = 1
+        # and empty at 1.1 and (s = n) at 3, two points skipped with a notice
+        (
+            "sweep_every_v_n_branch.csv",
+            ["sweep", "--n", "6", "--s", "1,2,6", "--rs", "0.5,1,1.1,3", "-o", "-"],
+        ),
     ],
 )
 def test_stdout_matches_golden_file(runner, name, args):
