@@ -3,7 +3,8 @@
 The odds rule, the exact success probability of stopping on the last
 success, sharp upper/lower bounds with their attaining configurations,
 and a set of independent verification oracles (dynamic programming,
-Lindley's threshold, exhaustive enumeration, Monte Carlo).
+the family of threshold rules, Lindley's threshold, exhaustive
+enumeration, Monte Carlo).
 """
 
 import importlib
@@ -44,22 +45,6 @@ from .extremal import (
     lower_extremal_case2,
     lower_near_extremal_case3,
     upper_extremal,
-)
-
-# oracle.py loads on first use of one of these names (or of oddsrule.oracle):
-# it imports dataclasses, and with it inspect, ast and dis, which only the
-# commands that check or simulate need.
-_ORACLE_NAMES = (
-    "CrossCheck",
-    "DPResult",
-    "SimulationReport",
-    "cross_check",
-    "dp_optimal_value",
-    "exhaustive_value",
-    "lindley_threshold",
-    "monte_carlo",
-    "threshold_rule_value",
-    "threshold_rule_values",
 )
 
 __version__ = "0.1.0"
@@ -110,12 +95,16 @@ __all__ = [
 def __getattr__(name: str):
     """Import oracle.py the first time it or one of its names is read, and
     bind its names here so that later reads are plain lookups."""
-    if name != "oracle" and name not in _ORACLE_NAMES:
+    # oracle.py loads on first use of one of its names (or of oddsrule.oracle):
+    # it imports dataclasses, and with it inspect, ast and dis, which only the
+    # commands that check or simulate need.  Its names are those of __all__
+    # that the imports above leave unbound, and only an unbound name gets here.
+    if name != "oracle" and name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # not "from . import oracle": that first asks hasattr(oddsrule, "oracle"),
     # which would call this function again
     oracle = importlib.import_module(".oracle", __name__)
-    globals().update((n, getattr(oracle, n)) for n in _ORACLE_NAMES)
+    globals().update({n: getattr(oracle, n) for n in __all__ if n not in globals()})
     return globals()[name]
 
 

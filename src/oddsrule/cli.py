@@ -50,14 +50,6 @@ def fmt_human(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def fmt_prob(x: float) -> str:
-    """Shortest representation that still round-trips, for re-feedable
-    probability lists ('0.2' rather than '0.20000000000000001')."""
-    if x == int(x):
-        return str(int(x))
-    return repr(float(x))
-
-
 def render_json(doc, indent: int = 0) -> str:
     """Deterministic JSON with .17g floats (json.dumps would use repr).
 
@@ -450,15 +442,12 @@ def sweep(args: argparse.Namespace) -> None:
 
 
 def _sweep_attained_value(n: int, s: int, rs: float, case: int) -> float | None:
+    if case == 2 and rs != 1.0:  # the case-2 family has R_s = 1 only
+        return None
+    generator, keys, required = EXTREMAL_FAMILIES[f"case{case}"]
+    point = {"n": n, "s": s, "rs": rs}
     try:
-        if case == 1:
-            cfg = extremal.lower_extremal_case1(n, rs)
-        elif case == 2 and rs == 1.0:
-            cfg = extremal.lower_extremal_case2(n, s)
-        elif case == 3:
-            cfg = extremal.lower_near_extremal_case3(n, s)
-        else:
-            return None
+        cfg = generator(*(point[key] for key in keys[:required]))
     except OddsRuleError:
         return None
     seq = cfg.seq
@@ -487,8 +476,12 @@ def extremal_cmd(args: argparse.Namespace) -> None:
             "parameters": {key: x for key, x in cfg.parameters._asdict().items() if x is not None},
         })
     else:
+        # a re-feedable p line: the shortest repr that round-trips ('0.2',
+        # not '0.20000000000000001'), with 0 and 1 written as integers
         for i in range(0, seq.n, CHUNK):
-            sys.stdout.write(("," if i else "") + ",".join(map(fmt_prob, seq.p[i:i + CHUNK])))
+            chunk = seq.p[i:i + CHUNK]
+            sys.stdout.write(("," if i else "") + ",".join(["%r"] * len(chunk))
+                             % tuple(map({0.0: 0, 1.0: 1}.get, chunk, chunk)))
         print()
         print(f"target     {fmt_human(cfg.target_bound)}")
         print(f"v_n        {fmt_human(v)}")
@@ -549,7 +542,6 @@ def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
     sub = command("secretary", analyze, add_format_option,
                   doc="Analyze the builtin record sequence p_j = 1/j (best-choice problem).")
     sub.add_argument("secretary_n", type=positive_int, metavar="N")
-    sub.set_defaults(probs=None, file_path=None, extremal_spec=None)
     command("oracle-check", oracle_check, add_input_options, add_monte_carlo_options,
             add_format_option)
     sub = command("simulate", simulate, add_input_options, add_monte_carlo_options,

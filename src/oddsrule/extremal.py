@@ -2,10 +2,11 @@
 
 Each generator returns the sequence together with the bound value it
 attains (``attainment = "exact"``) or approaches from above
-(``attainment = "limiting"``).  Entries before the threshold are set to
-0: the success probability and the bounds depend only on the window
-[s, n], and zeros are the canonical prefix that leaves the threshold
-where it was requested.
+(``attainment = "limiting"``: above in exact arithmetic, but see
+lower_near_extremal_case3 on rounding).  Entries before the threshold
+are set to 0: the success probability and the bounds depend only on the
+window [s, n], and zeros are the canonical prefix that leaves the
+threshold where it was requested.
 
 The generators guarantee ``threshold(seq).s`` equals the requested ``s``.
 Because the odds are re-derived from the rounded probabilities, the
@@ -140,8 +141,11 @@ def lower_near_extremal_case3(
 
     The window head takes odds 2 - 2*alpha + 1/(n-s) and the tail equal
     odds alpha/(n-s), so the tail suffix sum is alpha < 1 while the full
-    window sum exceeds 1 + 1/(n-s).  The attained value stays strictly
-    above the bound and the gap shrinks like (1-alpha)^2.
+    window sum exceeds 1 + 1/(n-s).  The exact value of the stored
+    sequence stays strictly above the bound, and the gap shrinks like
+    (1-alpha)^2.  In floats that gap is lost in rounding once 1 - alpha
+    is below about 1e-8: the computed V_n can then equal target_bound or
+    fall below it.  No input checked with 1 - alpha >= 1e-7 did.
     """
     n, s = _size("n", n), _size("s", s)
     if not 1 <= s < n:

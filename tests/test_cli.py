@@ -14,12 +14,13 @@ from oddsrule import (
     lower_extremal_case2,
     secretary_sequence,
     threshold,
+    upper_extremal,
     validate_probabilities,
     win_probability,
 )
 from oddsrule import bounds, core, oracle
 from oddsrule.bounds import EQUALITY_TOL
-from oddsrule.cli import main
+from oddsrule.cli import CHUNK, main
 
 
 @pytest.fixture
@@ -506,6 +507,25 @@ class TestExtremalCommand:
         assert doc["v_n"] == pytest.approx(5 / 9, abs=1e-14)
         assert doc["attainment"] == "limiting"
         assert doc["v_n"] > doc["target_bound"]
+
+    @pytest.mark.parametrize(
+        "args, p",
+        [
+            # zeros up to the first cut, then a 1 just after it
+            (["upper", "--n", "9000", "--s", "4097", "--rs", "inf"],
+             upper_extremal(9000, 4097, float("inf")).seq.p),
+            (["case2", "--n", "9000", "--s", "4097"], lower_extremal_case2(9000, 4097).seq.p),
+        ],
+        ids=["upper", "case2"],
+    )
+    def test_p_line_across_chunk_seams(self, runner, args, p):
+        """The text p line, written CHUNK entries a piece, is the comma join
+        of each entry's shortest round-trip form, 0 and 1 as integers."""
+        assert p[CHUNK - 1] == 0.0 and p[CHUNK] > 0.0
+        res = invoke(runner, "extremal", *args)
+        assert res.exit_code == 0
+        line = res.stdout.splitlines()[0]
+        assert line == ",".join(str(int(x)) if x == int(x) else repr(x) for x in p)
 
     def test_inconsistent_exits_2(self, runner):
         res = runner.invoke(

@@ -1,12 +1,14 @@
 import hashlib
 import math
 import struct
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given
 
+from exact_oracle import exact_window_win
 from oddsrule import (
     InconsistentInput,
     InvalidArgument,
@@ -251,6 +253,24 @@ class TestLowerNearExtremalCase3:
                 assert gap > 0.0
                 gaps.append(gap)
             assert gaps == sorted(gaps, reverse=True)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6])
+    def test_float_value_above_the_bound(self, gap):
+        # the gap to the bound shrinks like gap**2, still above the rounding
+        # of V_n here; near gap = 1e-8 it is not (see the next test)
+        for n in range(2, 41):
+            for s in range(1, n):
+                cfg = lower_near_extremal_case3(n, s, 1.0 - gap)
+                assert _win(cfg.seq) > cfg.target_bound, (n, s)
+
+    @pytest.mark.parametrize("n, s", [(2, 1), (6, 1), (10, 3), (40, 39), (120, 7)])
+    def test_exact_value_above_the_bound_at_alpha_near_one(self, n, s):
+        # at 1 - alpha = 1e-12 the float V_n can fall to the float bound or
+        # below it; the exact V_n of the stored sequence stays above the
+        # exact bound (m / (m + 1))^m, m = n - s
+        cfg = lower_near_extremal_case3(n, s, 1.0 - 1e-12)
+        m = n - s
+        assert exact_window_win(cfg.seq.p, s) > Fraction(m, m + 1) ** m
 
     def test_default_alpha(self):
         cfg = lower_near_extremal_case3(4, 2)
