@@ -155,6 +155,13 @@ class OddsSequence:
       of ``2**-1074`` below ``2**-1022`` has at most 52 bits, so its
       division was exact too.
 
+    The guard holds on every run from the back whose nonzero odds all
+    have exponents of at least ``max(-1021, e_max + L.bit_length() -
+    970)``.  When the whole tail fails it, the longest such run still
+    takes the first route on its own, coarser grid, and its exact total,
+    shifted onto the fine grid, starts the second route for the odds
+    before it: a tiny head does not put every total on the finest grid.
+
     Instances are immutable: assigning or deleting an attribute raises
     AttributeError.  ``R``, the threshold and V_n are memos filled on
     first use in the instance ``__dict__``, not fields, so ``==``,
@@ -204,7 +211,10 @@ class OddsSequence:
         # success's +inf makes its own and every earlier sum inf; the
         # finite tail after the last one is summed on one exact grid.
         odds = self.r
-        stop = len(odds) - odds[::-1].index(math.inf) if math.inf in odds else 0
+        try:
+            stop = len(odds) - operator.indexOf(reversed(odds), math.inf)
+        except ValueError:  # no sure success
+            stop = 0
         sums = _suffix_sums(odds, stop)
         sums[:0] = [math.inf] * stop
         return tuple(sums)
@@ -252,11 +262,16 @@ class OddsSequence:
     def _win_probability(self) -> WinProbability:
         t, R_next = self._threshold
         s, p_s = t.s, self.p[t.s - 1]
-        survive = math.exp(math.fsum(map(math.log1p, map(operator.neg, self.p[s:]))))
+        # The window is read in place: fsum is correctly rounded, so it may
+        # read from the back; a product's bits depend on order, so it reads
+        # forward.
+        after = islice(reversed(self.p), len(self.p) - s)
+        survive = math.exp(math.fsum(map(math.log1p, map(operator.neg, after))))
         value = survive * (p_s + (1.0 - p_s) * R_next)
         product_form = None
         if p_s != 1.0:
-            product_form = t.R_s / math.prod(map(operator.add, repeat(1.0), self.r[s - 1 :]))
+            window = islice(self.r, s - 1, None)
+            product_form = t.R_s / math.prod(map(operator.add, repeat(1.0), window))
         return WinProbability(value, product_form)
 
 
@@ -288,9 +303,10 @@ class WinProbability(NamedTuple):
 
 def _suffix_sum(odds: tuple[float, ...], l: int) -> float:
     # R_l, with R_{n+1} = 0.  fsum is correctly rounded (half to even), so
-    # these are the bits of R[l-1]; + 0.0 turns an all-zero tail's sum into
-    # +0.0, as in R, whatever sign of zero fsum returns.
-    return math.fsum(odds[l - 1 :]) + 0.0
+    # these are the bits of R[l-1] in any order, and the tail is read in
+    # place from the back; + 0.0 turns an all-zero tail's sum into +0.0,
+    # as in R, whatever sign of zero fsum returns.
+    return math.fsum(islice(reversed(odds), len(odds) - l + 1)) + 0.0
 
 
 def _suffix_sums(odds: tuple[float, ...], stop: int) -> list[float]:
@@ -301,15 +317,32 @@ def _suffix_sums(odds: tuple[float, ...], stop: int) -> list[float]:
     size = len(odds) - stop
     e_min = math.frexp(min(filter(None, islice(odds, stop, None)), default=0.0))[1]
     e_max = math.frexp(max(islice(odds, stop, None), default=0.0))[1]
-    K, tail = 53 - e_min, islice(reversed(odds), size)
-    if e_min >= -1021 and e_max - e_min + size.bit_length() <= 970:
-        totals = accumulate(map(int, map(math.ldexp, tail, repeat(K))))
+    # The guard holds on a run from the back whose nonzero odds all have
+    # exponents of at least lo: on the whole tail when e_min >= lo, else
+    # up to the first nonzero odds below 2**(lo - 1).
+    lo = max(-1021, e_max + size.bit_length() - 970)
+    cut, e_cut = size, e_min
+    if e_min < lo:
+        below = map(operator.gt, repeat(math.ldexp(0.5, lo)), islice(reversed(odds), size))
+        nonzero = map(operator.lt, repeat(0.0), islice(reversed(odds), size))
+        cut = operator.indexOf(map(operator.and_, below, nonzero), True)
+        e_cut = math.frexp(min(filter(None, islice(reversed(odds), cut)), default=0.0))[1]
+    K = 53 - e_cut
+    scaled = map(int, map(math.ldexp, islice(reversed(odds), cut), repeat(K)))
+    totals = accumulate(scaled, initial=0)  # the initial 0 is R_{n+1}, dropped below
+    if cut == size:
         sums = list(map(math.ldexp, map(float, totals), repeat(-K)))
     else:
-        totals = accumulate(int(m * 2.0**53) << e - e_min for m, e in map(math.frexp, tail))
-        rounded = map(operator.truediv, totals, repeat(1 << K - 900))
-        sums = list(map(math.ldexp, rounded, repeat(-900)))
+        # the run's exact total is carried onto the fine grid, and rounded
+        # there with the sums of the odds before it
+        sums = list(map(math.ldexp, map(float, islice(totals, cut)), repeat(-K)))
+        rest = map(math.frexp, islice(reversed(odds), cut, size))
+        totals = accumulate((int(m * 2.0**53) << e - e_min for m, e in rest),
+                            initial=next(totals) << e_cut - e_min)
+        rounded = map(operator.truediv, totals, repeat(1 << 53 - e_min - 900))
+        sums += map(math.ldexp, rounded, repeat(-900))
     sums.reverse()
+    sums.pop()
     return sums
 
 
@@ -331,6 +364,16 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
         refused = True
     if refused:
         raise InvalidArgument(f"need a sequence of probabilities, got {type(p).__name__}")
+    # Plain floats in [0, 1] are read in place: the odds first, then the
+    # tuple of p, so no copy of the entries is alive beside r.  Any other
+    # entry leaves this pass for the general one, which alone raises.
+    try:
+        odds = [x / (1.0 - x) if type(x) is float and 0.0 <= x < 1.0 else _sure(x) for x in p]
+    except _NotPlain:
+        odds = None
+    if odds:
+        odds = tuple(odds)  # the list is freed before tuple(p) is made
+        return OddsSequence(tuple(p), odds)
     try:
         probs = tuple(map(float, p))
     except (OverflowError, TypeError, ValueError):
@@ -348,6 +391,17 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
     # The range check rides in the odds pass.
     odds = tuple([x / (1.0 - x) if 0.0 <= x < 1.0 else _odds_outside(probs, x) for x in probs])
     return OddsSequence(probs, odds)
+
+
+class _NotPlain(Exception):
+    """An entry that is not a plain float in [0, 1]."""
+
+
+def _sure(x) -> float:
+    # +inf for a plain float 1.0; any other entry ends the float pass
+    if type(x) is float and x == 1.0:
+        return math.inf
+    raise _NotPlain
 
 
 def _odds_outside(probs: tuple[float, ...], x: float) -> float:

@@ -2,7 +2,6 @@ import math
 import pickle
 import sys
 import threading
-import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -38,6 +37,7 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
+from traced import traced_peak
 
 
 class TestValidate:
@@ -338,15 +338,37 @@ class TestWinProbability:
         assert abs(w.value - want) <= 1e-15
 
 
+def test_analysis_holds_no_copy_of_the_window():
+    # validate -> threshold -> win_probability -> bound_report on a near
+    # tie whose window is the whole sequence.  The sequence keeps p, r and
+    # r's floats (p's are the caller's); beyond them only the threshold
+    # guess's two 1024-entry chunks are alive at once.  A list of the odds
+    # beside r, or a slice of the window, adds 0.76-0.79 MiB.
+    probs = [0.5] + [1 / 99919] * 99918
+
+    def analyze():
+        seq = validate_probabilities(probs)
+        win_probability(seq, threshold(seq))
+        bound_report(seq)
+
+    seq = validate_probabilities(probs)
+    kept = sys.getsizeof(seq.p) + sys.getsizeof(seq.r) + sum(map(sys.getsizeof, seq.r))
+    assert traced_peak(analyze) - kept < 0.25 * 2**20
+
+
 class CountingTuple(tuple):
-    """A tuple that counts the slices taken of it: the window reads."""
+    """A tuple that counts its window reads: the iterations of it,
+    forward and reversed."""
 
-    slices = 0
+    forward = backward = 0
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            self.slices += 1
-        return super().__getitem__(key)
+    def __iter__(self):
+        self.forward += 1
+        return super().__iter__()
+
+    def __reversed__(self):
+        self.backward += 1
+        return reversed(tuple(super().__iter__()))
 
 
 class TestMemo:
@@ -359,10 +381,11 @@ class TestMemo:
         assert threshold(seq) is t
         assert win_probability(seq, threshold(seq)) is w
         assert report.v_n == w.value
-        # one read of p[s:] for the value; of r, the threshold's two fsum
-        # probes r[s-1:] and r[s:] (the guess is right here) and one read
-        # of r[s-1:] for the product form
-        assert (seq.p.slices, seq.r.slices) == (1, 3)
+        # p is read once, from the back, for the value; r from the back by
+        # the threshold's guess and its two fsum probes R_s and R_{s+1}
+        # (the guess is right here), and forward once for the product form
+        reads = (seq.p.forward, seq.p.backward, seq.r.forward, seq.r.backward)
+        assert reads == (0, 1, 1, 3)
 
     def test_filled_memo_leaves_equality_hash_and_pickle_alone(self):
         probs = [0.1, 0.4, 0.3, 0.2]
@@ -485,13 +508,7 @@ class TestLindley:
 
     def test_runs_in_constant_memory(self):
         # the reference's list of n + 1 floats peaks at about 30 MiB here
-        tracemalloc.start()
-        try:
-            lindley_threshold(10**6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert traced_peak(lindley_threshold, 10**6) < 2**20
 
 
 # Each function that takes a count n or an index s refuses a float, a

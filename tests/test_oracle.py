@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -24,6 +23,7 @@ from oddsrule import (
     win_probability,
 )
 from oddsrule.oracle import _exact_sum
+from traced import traced_peak
 
 
 # the oracle-check families at n = 20, and a sequence whose threshold is n
@@ -198,13 +198,7 @@ class TestExhaustive:
 
     def test_memory_at_the_size_cap(self):
         seq = secretary_sequence(20)
-        tracemalloc.start()
-        try:
-            exhaustive_value(seq, threshold(seq).s)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert traced_peak(exhaustive_value, seq, threshold(seq).s) < 24 * 2**20
 
     @pytest.mark.parametrize("family", list(ORACLE_FAMILIES_20))
     def test_bits_match_full_enumeration_at_the_size_cap(self, family):
@@ -217,24 +211,12 @@ class TestExhaustive:
         # streamed through slices of 2^16
         seq = validate_probabilities(ORACLE_FAMILIES_20["s_equals_n"])
         assert threshold(seq).s == 20
-        tracemalloc.start()
-        try:
-            exhaustive_value(seq, 20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert traced_peak(exhaustive_value, seq, 20) < 4 * 2**20
 
     def test_memory_two_column_window(self):
         # k = 19: 2^18 prefixes, each with two places for the window success
         seq = validate_probabilities(ORACLE_FAMILIES_20["s_equals_n"])
-        tracemalloc.start()
-        try:
-            exhaustive_value(seq, 19)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert traced_peak(exhaustive_value, seq, 19) < 4 * 2**20
 
     @pytest.mark.parametrize("k", [17, 18, 19, 20])
     @pytest.mark.parametrize("turn", range(4))
@@ -255,13 +237,7 @@ class TestExhaustive:
     def test_memory_widest_window(self):
         # k = 1: no prefix, and one outcome per place of the one success
         seq = secretary_sequence(20)
-        tracemalloc.start()
-        try:
-            exhaustive_value(seq, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert traced_peak(exhaustive_value, seq, 1) < 2**20
 
     def test_size_cap(self):
         seq = validate_probabilities([0.5] * 21)
@@ -488,35 +464,17 @@ class TestMonteCarlo:
         seq = secretary_sequence(1000)
         s = threshold(seq).s
         trials = 1_000
-        tracemalloc.start()
-        try:
-            monte_carlo(seq, s, trials, seed=42)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * trials * (seq.n - s + 1)
+        assert traced_peak(monte_carlo, seq, s, trials, 42) < 64 * trials * (seq.n - s + 1)
 
     def test_memory_bounded_by_chunk(self):
         seq = secretary_sequence(10_000)
         s = threshold(seq).s
-        tracemalloc.start()
-        try:
-            monte_carlo(seq, s, 2_000, seed=42)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * (1 << 16)
+        assert traced_peak(monte_carlo, seq, s, 2_000, 42) < 16 * (1 << 16)
 
     def test_memory_bounded_whatever_the_trials(self):
         # 10^7 trials: no scratch array grows with trials
         seq = validate_probabilities([0.1, 0.3, 0.2, 0.25, 0.4])
-        tracemalloc.start()
-        try:
-            monte_carlo(seq, 1, 10_000_000, seed=42)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        assert traced_peak(monte_carlo, seq, 1, 10_000_000, 42) <= 2 * 2**20
 
     @pytest.mark.parametrize(
         "probs, trials",
@@ -527,13 +485,7 @@ class TestMonteCarlo:
         # two counts and the generator: no array grows with trials or n
         seq = validate_probabilities(probs)
         s = threshold(seq).s
-        tracemalloc.start()
-        try:
-            monte_carlo(seq, s, trials, seed=42)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 64 * 2**10
+        assert traced_peak(monte_carlo, seq, s, trials, 42) <= 64 * 2**10
 
     @pytest.mark.parametrize(
         "probs, every_trial_wins",

@@ -19,6 +19,7 @@ from exact_oracle import (
 )
 from oddsrule import (
     NotANumber,
+    OddsRuleError,
     OutOfRange,
     bound_report,
     corollary_bound,
@@ -150,18 +151,30 @@ def test_suffix_sums_correctly_rounded(probs):
 
 def _suffix_sums_and_frexp_calls(seq):
     # seq.R, built on first read, and the number of math.frexp calls that
-    # built it: two for e_min and e_max, and outside the guard one more for
-    # each finite tail odds
+    # built it: two for e_min and e_max, and outside the guard one more
+    # for the e_min of the run inside it and one for each odds before it
     with mock.patch.object(math, "frexp", wraps=math.frexp) as frexp:
         R = seq.R
     return R, frexp.call_count
 
 
+def _frexp_head(r):
+    """How many finite tail odds of ``r`` the frexp split reads: those up
+    to the last nonzero one whose exponent is below the guard's bound
+    max(-1021, e_max + L.bit_length() - 970), none when there is none."""
+    tail = r[len(r) - r[::-1].index(math.inf) if math.inf in r else 0:]
+    lo = max(-1021, math.frexp(max(tail, default=0.0))[1] + len(tail).bit_length() - 970)
+    small = [i for i, x in enumerate(tail, 1) if x and math.frexp(x)[1] < lo]
+    return max(small, default=0)
+
+
 @pytest.mark.parametrize("probs, grid", ROUTING_EDGES)
 def test_suffix_sums_routing(probs, grid):
     seq = validate_probabilities(probs)
+    head = _frexp_head(seq.r)
     R, frexp_calls = _suffix_sums_and_frexp_calls(seq)
-    assert frexp_calls == (2 if grid else 2 + seq.n)
+    assert (head == 0) == grid
+    assert frexp_calls == (2 if grid else 3 + head)
     assert [x.hex() for x in R] == [x.hex() for x in exact_suffix_sums(seq.r)]
 
 
@@ -176,6 +189,7 @@ FREXP_LARGE = [
 ]
 
 
+
 @given(frexp_prob_lists)
 @example([5e-324])
 @example([2.0**-972, 0.25])
@@ -185,8 +199,21 @@ FREXP_LARGE = [
 @example(FREXP_LARGE[2])
 def test_frexp_suffix_sums_correctly_rounded(probs):
     seq = validate_probabilities(probs)
+    head = _frexp_head(seq.r)
     R, frexp_calls = _suffix_sums_and_frexp_calls(seq)
-    assert frexp_calls == 2 + seq.n
+    assert head > 0
+    assert frexp_calls == 3 + head
+    assert [x.hex() for x in R] == [x.hex() for x in exact_suffix_sums(seq.r)]
+
+
+@pytest.mark.parametrize("head", [5e-324, 1e-300], ids=["subnormal", "tiny"])
+def test_tiny_head_suffix_sums_correctly_rounded(head):
+    # n = 10^5 (too slow an exact reference for a Hypothesis example's
+    # deadline): only the head takes the frexp split, and the run after
+    # it carries its exact total onto the fine grid
+    seq = validate_probabilities([head] + [1 / (j + 2) for j in range(10**5 - 1)])
+    R, frexp_calls = _suffix_sums_and_frexp_calls(seq)
+    assert frexp_calls == 3 + 1
     assert [x.hex() for x in R] == [x.hex() for x in exact_suffix_sums(seq.r)]
 
 
@@ -220,6 +247,28 @@ def test_threshold_defining_inequalities(probs):
         assert t.s == 1
     assert t.s == exact_threshold(probs)
     assert_routes_agree(probs)
+
+
+# tails that stress the in-place read of _suffix_sum: zeros of either
+# sign, subnormals, +inf, odds up to 2**53 beside odds below 2**-970
+adversarial_odds = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, math.inf, 5e-324, 2.0**-1022, 2.0**53]),
+        st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
+        st.floats(min_value=2.0**-1074, max_value=2.0**-970),
+        st.floats(min_value=0.0, max_value=2.0**53),
+    ),
+    max_size=40,
+)
+
+
+@given(adversarial_odds)
+@example([-0.0, -0.0])
+@example([2.0**53, 2.0**-1074, -0.0, math.inf, 5e-324])
+def test_suffix_sum_is_fsum_of_the_slice(odds):
+    odds = tuple(odds)
+    for l in range(1, len(odds) + 2):
+        assert core._suffix_sum(odds, l).hex() == (math.fsum(odds[l - 1 :]) + 0.0).hex()
 
 
 def scan_threshold(seq):
@@ -461,6 +510,33 @@ def test_first_entry_outside_the_unit_interval_is_named(probs):
         validate_probabilities(probs)
     assert err.value.index == i
     assert str(err.value) == str(error(i, x))
+
+
+class Real(float):
+    """A float subclass, such as numpy's float64: validate_probabilities
+    reads it by its general path, never by the pass over plain floats."""
+
+
+def _validated_bits(probs):
+    """p's and r's types and bits, or the error's type, message and index."""
+    try:
+        seq = validate_probabilities(probs)
+    except OddsRuleError as err:
+        return type(err), str(err), getattr(err, "index", None)
+    return [(type(x), x.hex()) for x in seq.p + seq.r]
+
+
+@given(st.lists(
+    st.one_of(
+        wide_probabilities,
+        bad_entries,
+        st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.0**-1022 - 2.0**-1074, -5e-324]),
+        st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
+    ),
+    max_size=30,
+))
+def test_float_path_and_general_path_agree(probs):
+    assert _validated_bits([Real(x) for x in probs]) == _validated_bits(probs)
 
 
 @given(prob_lists)

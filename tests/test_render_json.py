@@ -5,13 +5,13 @@ import io
 import json
 import math
 import random
-import tracemalloc
 
 import pytest
 
 from cli_runner import CliRunner
 from oddsrule import validate_probabilities
 from oddsrule.cli import CHUNK, _analysis_document, main, render_json
+from traced import traced_peak
 
 
 def reference_scalar(v) -> str:
@@ -171,11 +171,9 @@ def test_render_builds_no_string_of_a_whole_list(tmp_path, argv, limit_mib):
         path.write_text(json.dumps({"p": [rnd.random() * 1e-4 for _ in range(100_000)]}),
                         encoding="utf-8")
         argv = argv + [str(path)]
-    tracemalloc.start()
-    try:
+
+    def run():
         with contextlib.redirect_stdout(_Discard()):
             main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < limit_mib * 2**20
+
+    assert traced_peak(run) < limit_mib * 2**20
