@@ -155,13 +155,6 @@ class OddsSequence:
       of ``2**-1074`` below ``2**-1022`` has at most 52 bits, so its
       division was exact too.
 
-    The guard holds on every run from the back whose nonzero odds all
-    have exponents of at least ``max(-1021, e_max + L.bit_length() -
-    970)``.  When the whole tail fails it, the longest such run still
-    takes the first route on its own, coarser grid, and its exact total,
-    shifted onto the fine grid, starts the second route for the odds
-    before it: a tiny head does not put every total on the finest grid.
-
     Instances are immutable: assigning or deleting an attribute raises
     AttributeError.  ``R``, the threshold and V_n are memos filled on
     first use in the instance ``__dict__``, not fields, so ``==``,
@@ -317,32 +310,15 @@ def _suffix_sums(odds: tuple[float, ...], stop: int) -> list[float]:
     size = len(odds) - stop
     e_min = math.frexp(min(filter(None, islice(odds, stop, None)), default=0.0))[1]
     e_max = math.frexp(max(islice(odds, stop, None), default=0.0))[1]
-    # The guard holds on a run from the back whose nonzero odds all have
-    # exponents of at least lo: on the whole tail when e_min >= lo, else
-    # up to the first nonzero odds below 2**(lo - 1).
-    lo = max(-1021, e_max + size.bit_length() - 970)
-    cut, e_cut = size, e_min
-    if e_min < lo:
-        below = map(operator.gt, repeat(math.ldexp(0.5, lo)), islice(reversed(odds), size))
-        nonzero = map(operator.lt, repeat(0.0), islice(reversed(odds), size))
-        cut = operator.indexOf(map(operator.and_, below, nonzero), True)
-        e_cut = math.frexp(min(filter(None, islice(reversed(odds), cut)), default=0.0))[1]
-    K = 53 - e_cut
-    scaled = map(int, map(math.ldexp, islice(reversed(odds), cut), repeat(K)))
-    totals = accumulate(scaled, initial=0)  # the initial 0 is R_{n+1}, dropped below
-    if cut == size:
+    K, tail = 53 - e_min, islice(reversed(odds), size)
+    if e_min >= -1021 and e_max - e_min + size.bit_length() <= 970:
+        totals = accumulate(map(int, map(math.ldexp, tail, repeat(K))))
         sums = list(map(math.ldexp, map(float, totals), repeat(-K)))
     else:
-        # the run's exact total is carried onto the fine grid, and rounded
-        # there with the sums of the odds before it
-        sums = list(map(math.ldexp, map(float, islice(totals, cut)), repeat(-K)))
-        rest = map(math.frexp, islice(reversed(odds), cut, size))
-        totals = accumulate((int(m * 2.0**53) << e - e_min for m, e in rest),
-                            initial=next(totals) << e_cut - e_min)
-        rounded = map(operator.truediv, totals, repeat(1 << 53 - e_min - 900))
-        sums += map(math.ldexp, rounded, repeat(-900))
+        totals = accumulate(int(m * 2.0**53) << e - e_min for m, e in map(math.frexp, tail))
+        rounded = map(operator.truediv, totals, repeat(1 << K - 900))
+        sums = list(map(math.ldexp, rounded, repeat(-900)))
     sums.reverse()
-    sums.pop()
     return sums
 
 
@@ -357,6 +333,10 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
     InvalidArgument for a str, bytes or bytearray ``p`` (not read as entries),
     a set or frozenset (it has no order), an iterator (it can be read only
     once) or a ``p`` that is not iterable (a number, None).
+
+    ``p`` is read twice, for the odds and then for its tuple, and must
+    not change during the call; a change of its length raises
+    InvalidArgument.
     """
     try:
         refused = isinstance(p, (str, bytes, bytearray, set, frozenset)) or iter(p) is p
@@ -364,54 +344,57 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
         refused = True
     if refused:
         raise InvalidArgument(f"need a sequence of probabilities, got {type(p).__name__}")
-    # Plain floats in [0, 1] are read in place: the odds first, then the
-    # tuple of p, so no copy of the entries is alive beside r.  Any other
-    # entry leaves this pass for the general one, which alone raises.
+    # The odds come first and p is read again for its tuple, so no list of
+    # the odds is alive beside both tuples; float() of a float is the float
+    # itself.  The range check rides in the odds pass: _SURE holds the odds
+    # of a sure success, and any other entry outside [0, 1) misses it.
     try:
-        odds = [x / (1.0 - x) if type(x) is float and 0.0 <= x < 1.0 else _sure(x) for x in p]
-    except _NotPlain:
-        odds = None
-    if odds:
-        odds = tuple(odds)  # the list is freed before tuple(p) is made
-        return OddsSequence(tuple(p), odds)
-    try:
-        probs = tuple(map(float, p))
-    except (OverflowError, TypeError, ValueError):
-        # p is a sequence, so it can be walked again to find that entry
-        for i, x in enumerate(p, 1):
-            try:
-                float(x)
-            except OverflowError:
-                raise OutOfRange(i, x) from None
-            except (TypeError, ValueError):
-                raise NotANumber(i, x) from None
+        odds = tuple([x / (1.0 - x) if 0.0 <= x < 1.0 else _SURE[x] for x in map(float, p)])
+    except (KeyError, OverflowError, TypeError, ValueError):
+        _raise_first_bad(p)
         raise
+    probs = tuple(_Floats(p, len(odds)))
+    if len(probs) != len(odds):
+        raise InvalidArgument("p changed while it was read")
     if not probs:
         raise EmptySequence("need at least one probability")
-    # The range check rides in the odds pass.
-    odds = tuple([x / (1.0 - x) if 0.0 <= x < 1.0 else _odds_outside(probs, x) for x in probs])
     return OddsSequence(probs, odds)
 
 
-class _NotPlain(Exception):
-    """An entry that is not a plain float in [0, 1]."""
+_SURE = {1.0: math.inf}
 
 
-def _sure(x) -> float:
-    # +inf for a plain float 1.0; any other entry ends the float pass
-    if type(x) is float and x == 1.0:
-        return math.inf
-    raise _NotPlain
+class _Floats:
+    # float() of each entry of p, with a length hint, so that tuple()
+    # allocates its final size once: from a bare map it grows the tuple a
+    # quarter at a time, 0.12 MiB past that size at n = 10^5, while r is
+    # alive beside it.
+
+    __slots__ = ("p", "n")
+
+    def __init__(self, p: Sequence[float], n: int):
+        self.p, self.n = p, n
+
+    def __iter__(self):
+        return map(float, self.p)
+
+    def __length_hint__(self) -> int:
+        return self.n
 
 
-def _odds_outside(probs: tuple[float, ...], x: float) -> float:
-    # +inf for a sure success, else x is the first entry outside [0, 1]:
-    # none before it equals x, and index() (identity first) finds x itself
-    # even when it is a NaN.
-    if x == 1.0:
-        return math.inf
-    i = probs.index(x) + 1
-    raise (NotANumber if math.isnan(x) or math.isinf(x) else OutOfRange)(i, x)
+def _raise_first_bad(p: Sequence[float]) -> None:
+    # p is a sequence, so it can be walked again: an entry float() rejects
+    # is named first, wherever it is, then the first outside [0, 1].
+    for i, x in enumerate(p, 1):
+        try:
+            float(x)
+        except OverflowError:
+            raise OutOfRange(i, x) from None
+        except (TypeError, ValueError):
+            raise NotANumber(i, x) from None
+    for i, x in enumerate(map(float, p), 1):
+        if not 0.0 <= x <= 1.0:
+            raise (NotANumber if math.isnan(x) or math.isinf(x) else OutOfRange)(i, x)
 
 
 def threshold(seq: OddsSequence) -> ThresholdResult:

@@ -108,6 +108,20 @@ class TestValidate:
         assert err.value.index == index
         assert str(err.value) == str(error(index, probs[index - 1]))
 
+    def test_entry_float_rejects_is_named_before_an_earlier_one_out_of_range(self):
+        with pytest.raises(NotANumber) as err:
+            validate_probabilities([0.5, 1.5, "half", -1.0])
+        assert (err.value.index, err.value.value) == (3, "half")
+
+    def test_a_sequence_that_grows_while_read_is_refused(self):
+        class Growing(list):
+            def __iter__(self):
+                self.append(0.5)
+                return super().__iter__()
+
+        with pytest.raises(InvalidArgument, match="changed while it was read"):
+            validate_probabilities(Growing([0.5, 0.25]))
+
     def test_numeric_strings_in_a_list_stay_accepted(self):
         assert validate_probabilities(["0.5", "0.25"]).p == (0.5, 0.25)
 
@@ -354,6 +368,8 @@ def test_analysis_holds_no_copy_of_the_window():
     seq = validate_probabilities(probs)
     kept = sys.getsizeof(seq.p) + sys.getsizeof(seq.r) + sum(map(sys.getsizeof, seq.r))
     assert traced_peak(analyze) - kept < 0.25 * 2**20
+    # validation alone allocates each tuple once, at its final size
+    assert traced_peak(validate_probabilities, probs) - kept < 0.01 * 2**20
 
 
 class CountingTuple(tuple):

@@ -198,7 +198,7 @@ class TestExhaustive:
 
     def test_memory_at_the_size_cap(self):
         seq = secretary_sequence(20)
-        assert traced_peak(exhaustive_value, seq, threshold(seq).s) < 24 * 2**20
+        assert traced_peak(lambda: exhaustive_value(seq, threshold(seq).s)) < 24 * 2**20
 
     @pytest.mark.parametrize("family", list(ORACLE_FAMILIES_20))
     def test_bits_match_full_enumeration_at_the_size_cap(self, family):

@@ -151,30 +151,18 @@ def test_suffix_sums_correctly_rounded(probs):
 
 def _suffix_sums_and_frexp_calls(seq):
     # seq.R, built on first read, and the number of math.frexp calls that
-    # built it: two for e_min and e_max, and outside the guard one more
-    # for the e_min of the run inside it and one for each odds before it
+    # built it: two for e_min and e_max, and outside the guard one more for
+    # each finite tail odds
     with mock.patch.object(math, "frexp", wraps=math.frexp) as frexp:
         R = seq.R
     return R, frexp.call_count
 
 
-def _frexp_head(r):
-    """How many finite tail odds of ``r`` the frexp split reads: those up
-    to the last nonzero one whose exponent is below the guard's bound
-    max(-1021, e_max + L.bit_length() - 970), none when there is none."""
-    tail = r[len(r) - r[::-1].index(math.inf) if math.inf in r else 0:]
-    lo = max(-1021, math.frexp(max(tail, default=0.0))[1] + len(tail).bit_length() - 970)
-    small = [i for i, x in enumerate(tail, 1) if x and math.frexp(x)[1] < lo]
-    return max(small, default=0)
-
-
 @pytest.mark.parametrize("probs, grid", ROUTING_EDGES)
 def test_suffix_sums_routing(probs, grid):
     seq = validate_probabilities(probs)
-    head = _frexp_head(seq.r)
     R, frexp_calls = _suffix_sums_and_frexp_calls(seq)
-    assert (head == 0) == grid
-    assert frexp_calls == (2 if grid else 3 + head)
+    assert frexp_calls == (2 if grid else 2 + seq.n)
     assert [x.hex() for x in R] == [x.hex() for x in exact_suffix_sums(seq.r)]
 
 
@@ -189,7 +177,6 @@ FREXP_LARGE = [
 ]
 
 
-
 @given(frexp_prob_lists)
 @example([5e-324])
 @example([2.0**-972, 0.25])
@@ -199,22 +186,18 @@ FREXP_LARGE = [
 @example(FREXP_LARGE[2])
 def test_frexp_suffix_sums_correctly_rounded(probs):
     seq = validate_probabilities(probs)
-    head = _frexp_head(seq.r)
     R, frexp_calls = _suffix_sums_and_frexp_calls(seq)
-    assert head > 0
-    assert frexp_calls == 3 + head
+    assert frexp_calls == 2 + seq.n
     assert [x.hex() for x in R] == [x.hex() for x in exact_suffix_sums(seq.r)]
 
 
 @pytest.mark.parametrize("head", [5e-324, 1e-300], ids=["subnormal", "tiny"])
 def test_tiny_head_suffix_sums_correctly_rounded(head):
     # n = 10^5 (too slow an exact reference for a Hypothesis example's
-    # deadline): only the head takes the frexp split, and the run after
-    # it carries its exact total onto the fine grid
+    # deadline): one tiny odds at the head sends the whole tail outside
+    # the guard
     seq = validate_probabilities([head] + [1 / (j + 2) for j in range(10**5 - 1)])
-    R, frexp_calls = _suffix_sums_and_frexp_calls(seq)
-    assert frexp_calls == 3 + 1
-    assert [x.hex() for x in R] == [x.hex() for x in exact_suffix_sums(seq.r)]
+    assert [x.hex() for x in seq.R] == [x.hex() for x in exact_suffix_sums(seq.r)]
 
 
 def test_large_near_tie_suffix_sums_correctly_rounded(large_near_tie):
@@ -513,8 +496,8 @@ def test_first_entry_outside_the_unit_interval_is_named(probs):
 
 
 class Real(float):
-    """A float subclass, such as numpy's float64: validate_probabilities
-    reads it by its general path, never by the pass over plain floats."""
+    """A float subclass, such as numpy's float64, whose float() is a new
+    plain float rather than the entry itself."""
 
 
 def _validated_bits(probs):
@@ -535,7 +518,7 @@ def _validated_bits(probs):
     ),
     max_size=30,
 ))
-def test_float_path_and_general_path_agree(probs):
+def test_float_subclass_reads_as_plain_float(probs):
     assert _validated_bits([Real(x) for x in probs]) == _validated_bits(probs)
 
 
