@@ -164,6 +164,8 @@ def bound_report(seq: OddsSequence) -> BoundReport:
             raise InternalBoundViolation(bound_id, v, value)
         if bound_id != "one_over_e":
             equality[bound_id] = abs(v - value) <= EQUALITY_TOL
+    # a strict bound is never attained, however close V_n rounds to it
+    equality["lower"] = equality["lower"] and not low.strict
 
     # in field order: binding 11 keywords would cost more than the tuple
     return BoundReport(

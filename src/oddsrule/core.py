@@ -26,7 +26,7 @@ import bisect
 import math
 import operator
 import sys
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -40,6 +40,10 @@ BOUNDARY_EPS = 1e-9
 # chunks of this many: large enough for C-level passes, small enough
 # that a chunk past the first sum >= 1 costs nothing measurable.
 GUESS_CHUNK = 1024
+
+# Validation forms the odds of a longer sequence in lists of this many:
+# no list of all the odds is then alive beside the tuples of p and r.
+ODDS_CHUNK = 1024
 
 
 class _memo:
@@ -330,13 +334,16 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
     offending 1-based index) for bad entries, including entries float()
     rejects: OutOfRange for a number beyond float range such as 10**400,
     NotANumber for anything else (None, a complex, a non-numeric string).
-    InvalidArgument for a str, bytes or bytearray ``p`` (not read as entries),
-    a set or frozenset (it has no order), an iterator (it can be read only
-    once) or a ``p`` that is not iterable (a number, None).
+    An entry float() rejects is named first, wherever it is, then the
+    first entry outside [0, 1].  InvalidArgument for a str, bytes or
+    bytearray ``p`` (not read as entries), a set or frozenset (it has no
+    order), an iterator (it can be read only once) or a ``p`` that is not
+    iterable (a number, None).
 
-    ``p`` is read twice, for the odds and then for its tuple, and must
-    not change during the call; a change of its length raises
-    InvalidArgument.
+    ``p`` is read once, into the tuple of its floats, and the odds come
+    from that tuple.  Only an entry float() rejects makes ``p`` be walked
+    again, to name it; if that walk finds none, ``p`` changed while it
+    was read, and InvalidArgument is raised.
     """
     try:
         refused = isinstance(p, (str, bytes, bytearray, set, frozenset)) or iter(p) is p
@@ -344,47 +351,60 @@ def validate_probabilities(p: Sequence[float]) -> OddsSequence:
         refused = True
     if refused:
         raise InvalidArgument(f"need a sequence of probabilities, got {type(p).__name__}")
-    # The odds come first and p is read again for its tuple, so no list of
-    # the odds is alive beside both tuples; float() of a float is the float
-    # itself.  The range check rides in the odds pass: _SURE holds the odds
-    # of a sure success, and any other entry outside [0, 1) misses it.
     try:
-        odds = tuple([x / (1.0 - x) if 0.0 <= x < 1.0 else _SURE[x] for x in map(float, p)])
-    except (KeyError, OverflowError, TypeError, ValueError):
-        _raise_first_bad(p)
-        raise
-    probs = tuple(_Floats(p, len(odds)))
-    if len(probs) != len(odds):
-        raise InvalidArgument("p changed while it was read")
-    if not probs:
+        probs = tuple(map(float, p))
+    except (OverflowError, TypeError, ValueError):
+        _raise_unreadable(p)
+        raise InvalidArgument("p changed while it was read") from None
+    n = len(probs)
+    if not n:
         raise EmptySequence("need at least one probability")
+    # A longer sequence streams its chunks of odds into an r allocated once.
+    try:
+        if n <= ODDS_CHUNK:
+            odds = tuple(_odds_of(probs))
+        else:
+            entries = iter(probs)
+            chunks = (_odds_of(islice(entries, ODDS_CHUNK)) for _ in range(0, n, ODDS_CHUNK))
+            odds = tuple(_Sized(chain.from_iterable(chunks), n))
+    except KeyError:
+        # an entry outside [0, 1) missed _SURE: name the first outside [0, 1]
+        for i, x in enumerate(probs, 1):
+            if not 0.0 <= x <= 1.0:
+                bad = NotANumber if math.isnan(x) or math.isinf(x) else OutOfRange
+                raise bad(i, x) from None
     return OddsSequence(probs, odds)
 
 
 _SURE = {1.0: math.inf}
 
 
-class _Floats:
-    # float() of each entry of p, with a length hint, so that tuple()
-    # allocates its final size once: from a bare map it grows the tuple a
-    # quarter at a time, 0.12 MiB past that size at n = 10^5, while r is
-    # alive beside it.
+def _odds_of(probs) -> list[float]:
+    # The range check rides in the odds pass: _SURE holds the odds of a
+    # sure success, and any other entry outside [0, 1) misses it.
+    return [x / (1.0 - x) if 0.0 <= x < 1.0 else _SURE[x] for x in probs]
 
-    __slots__ = ("p", "n")
 
-    def __init__(self, p: Sequence[float], n: int):
-        self.p, self.n = p, n
+class _Sized:
+    # An iterator with a length hint, so that tuple() allocates its final
+    # size once: from a bare iterator it grows the tuple a quarter at a
+    # time, past that size while the tuple of p is alive beside it.
+
+    __slots__ = ("items", "n")
+
+    def __init__(self, items, n: int):
+        self.items, self.n = items, n
 
     def __iter__(self):
-        return map(float, self.p)
+        return self.items
 
     def __length_hint__(self) -> int:
         return self.n
 
 
-def _raise_first_bad(p: Sequence[float]) -> None:
-    # p is a sequence, so it can be walked again: an entry float() rejects
-    # is named first, wherever it is, then the first outside [0, 1].
+def _raise_unreadable(p: Sequence[float]) -> None:
+    # p is a sequence, so it can be walked again to name the first entry
+    # float() rejects.
     for i, x in enumerate(p, 1):
         try:
             float(x)
@@ -392,9 +412,6 @@ def _raise_first_bad(p: Sequence[float]) -> None:
             raise OutOfRange(i, x) from None
         except (TypeError, ValueError):
             raise NotANumber(i, x) from None
-    for i, x in enumerate(map(float, p), 1):
-        if not 0.0 <= x <= 1.0:
-            raise (NotANumber if math.isnan(x) or math.isinf(x) else OutOfRange)(i, x)
 
 
 def threshold(seq: OddsSequence) -> ThresholdResult:

@@ -255,6 +255,12 @@ class TestAnalyze:
         assert res.exit_code == 0
         assert _bits(json.loads(res.output)) == _bits(_expected_analysis(seq))
 
+    def test_strict_case3_line_carries_no_equality_flag(self, runner):
+        # V_n rounds to the case-3 bound here, but a strict bound is never attained
+        res = invoke(runner, "analyze", "--extremal", "case3:n=6,s=1,alpha=0.999999999999")
+        assert res.exit_code == 0
+        assert "lower         0.401877572016  (case 3, strict)\n" in res.output
+
     @pytest.mark.parametrize("spec", ["case2:n=2.5,s=1", "case2:n=4,s=1.5"])
     def test_extremal_spec_rejects_non_integer(self, runner, spec):
         res = invoke(runner, "analyze", "--extremal", spec)

@@ -37,7 +37,29 @@ from oddsrule import (
     validate_probabilities,
     win_probability,
 )
+from oddsrule.core import ODDS_CHUNK
 from traced import traced_peak
+
+
+class Shifting(list):
+    """A sequence whose entries are ``first`` on the first read that takes
+    any, and its own on every later read."""
+
+    def __init__(self, first, then):
+        super().__init__(then)
+        self.first = first
+
+    def __iter__(self):
+        first, self.first = self.first, None
+        yield from super().__iter__() if first is None else first
+
+
+def _seam_positions(n):
+    # the first and the last entry of every chunk of the odds
+    return sorted({i for k in range(0, n, ODDS_CHUNK) for i in (k, min(k + ODDS_CHUNK, n) - 1)})
+
+
+SEAM_LENGTHS = [ODDS_CHUNK - 1, ODDS_CHUNK, ODDS_CHUNK + 1, 2 * ODDS_CHUNK + 1]
 
 
 class TestValidate:
@@ -113,14 +135,61 @@ class TestValidate:
             validate_probabilities([0.5, 1.5, "half", -1.0])
         assert (err.value.index, err.value.value) == (3, "half")
 
-    def test_a_sequence_that_grows_while_read_is_refused(self):
-        class Growing(list):
-            def __iter__(self):
-                self.append(0.5)
-                return super().__iter__()
+    @pytest.mark.parametrize("n", [4, 2 * ODDS_CHUNK + 1])
+    def test_each_entry_is_read_once(self, n):
+        class Counting(list):
+            taken = 0
 
-        with pytest.raises(InvalidArgument, match="changed while it was read"):
-            validate_probabilities(Growing([0.5, 0.25]))
+            def __iter__(self):
+                for x in super().__iter__():
+                    self.taken += 1
+                    yield x
+
+        probs = [0.5, 0.0, 1.0] + [0.25] * (n - 3)
+        p = Counting(probs)
+        assert validate_probabilities(p).p == tuple(probs)
+        assert p.taken == n
+
+    def test_an_entry_out_of_range_is_named_as_it_was_read(self):
+        with pytest.raises(OutOfRange) as err:
+            validate_probabilities(Shifting([0.25, 1.5], [0.25, 0.5]))
+        assert (err.value.index, err.value.value) == (2, 1.5)
+        assert str(err.value) == str(OutOfRange(2, 1.5))
+
+    def test_an_entry_float_rejects_but_a_second_walk_does_not_is_a_change(self):
+        with pytest.raises(InvalidArgument, match="^p changed while it was read$"):
+            validate_probabilities(Shifting([0.25, "half"], [0.25, 0.5]))
+
+    @pytest.mark.parametrize("n", SEAM_LENGTHS)
+    @pytest.mark.parametrize(
+        "special", [1.0, 0.0, -0.0, 5e-324, np.float64(0.75), 1.0 - 2.0**-53],
+        ids=["sure", "zero", "minus_zero", "subnormal", "float_subclass", "below_one"],
+    )
+    def test_special_entries_at_chunk_seams(self, n, special):
+        probs = [(j % 7 + 1) / (8.0 * n) for j in range(n)]
+        for i in _seam_positions(n):
+            probs[i] = special
+        seq = validate_probabilities(probs)
+        floats = [float(x) for x in probs]
+        odds = [math.inf if x == 1.0 else x / (1.0 - x) for x in floats]
+        assert [(type(x), x.hex()) for x in seq.p] == [(float, x.hex()) for x in floats]
+        assert [(type(x), x.hex()) for x in seq.r] == [(float, x.hex()) for x in odds]
+
+    @pytest.mark.parametrize("n", SEAM_LENGTHS)
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(math.nan, NotANumber), (1.5, OutOfRange), (-0.5, OutOfRange), (None, NotANumber),
+         ("half", NotANumber), (10**400, OutOfRange)],
+        ids=["nan", "above_one", "negative", "None", "text", "huge_int"],
+    )
+    def test_bad_entry_at_chunk_seams(self, n, bad, error):
+        for i in _seam_positions(n):
+            probs = [1.0] + [0.5 / n] * (n - 1)
+            probs[i] = bad
+            with pytest.raises(error) as err:
+                validate_probabilities(probs)
+            assert err.value.index == i + 1
+            assert str(err.value) == str(error(i + 1, bad))
 
     def test_numeric_strings_in_a_list_stay_accepted(self):
         assert validate_probabilities(["0.5", "0.25"]).p == (0.5, 0.25)

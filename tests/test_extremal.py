@@ -12,6 +12,7 @@ from exact_oracle import exact_window_win
 from oddsrule import (
     InconsistentInput,
     InvalidArgument,
+    bound_report,
     lower_bound,
     lower_extremal_case1,
     lower_extremal_case2,
@@ -253,6 +254,16 @@ class TestLowerNearExtremalCase3:
                 assert gap > 0.0
                 gaps.append(gap)
             assert gaps == sorted(gaps, reverse=True)
+
+    def test_strict_bound_flags_no_equality(self):
+        # at 1 - alpha = 1e-6 the gap, of order 1e-12, lies within
+        # EQUALITY_TOL on every one of these configurations
+        configs = [(n, s) for n in range(2, 40) for s in range(1, n)]
+        assert len(configs) == 741
+        for n, s in configs:
+            report = bound_report(lower_near_extremal_case3(n, s, 1.0 - 1e-6).seq)
+            assert report.lower_strict, (n, s)
+            assert report.equality["lower"] is False, (n, s)
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-6])
     def test_float_value_above_the_bound(self, gap):

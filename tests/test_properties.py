@@ -38,7 +38,7 @@ from oddsrule import (
     win_probability,
 )
 from oddsrule import core
-from oddsrule.core import BOUNDARY_EPS
+from oddsrule.core import BOUNDARY_EPS, ODDS_CHUNK
 
 probabilities = st.floats(min_value=0.0, max_value=0.95, allow_nan=False)
 prob_lists = st.lists(probabilities, min_size=1, max_size=30)
@@ -517,8 +517,10 @@ def _validated_bits(probs):
         st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
     ),
     max_size=30,
-))
-def test_float_subclass_reads_as_plain_float(probs):
+), st.sampled_from([0, ODDS_CHUNK - 15, 2 * ODDS_CHUNK - 15]))
+def test_float_subclass_reads_as_plain_float(probs, pad):
+    # pad puts the drawn entries across a seam of the validation's chunks
+    probs = [0.25] * pad + probs
     assert _validated_bits([Real(x) for x in probs]) == _validated_bits(probs)
 
 
